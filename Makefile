@@ -25,7 +25,7 @@ FUZZ_TARGETS := \
 # Minimum total test coverage (percent) enforced by `make cover` and CI.
 COVER_THRESHOLD := 80
 
-.PHONY: build test race bench bench-json serve-bench-json kernels-json kernels-gate eval-json ladder-json serve-smoke cluster-smoke perception-smoke degrade-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
+.PHONY: build test race bench bench-json serve-bench-json kernels-json kernels-gate eval-json ladder-json perfbench serve-smoke cluster-smoke perception-smoke degrade-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
 
 build:
 	go build ./...
@@ -60,6 +60,15 @@ kernels-json:
 # committed baseline; the fresh JSON is left for CI to upload.
 kernels-gate:
 	go run ./cmd/asvbench -exp kernels -json BENCH_kernels.fresh.json -gate BENCH_kernels.json
+
+# Run the repository benchmark (BENCHMARK.json, perfbench/README.md): each
+# workload for 15 s, one JSON result line apiece, every output checked
+# against the serial oracle. For per-layer timings run one workload with
+# `python3 perfbench/run.py --workload <name> --trace 1`.
+perfbench:
+	@set -e; for w in ism_stream key_only serve_cameras; do \
+		python3 perfbench/run.py --workload $$w --seconds 15 --trace 0; \
+	done
 
 # Regenerate BENCH_eval.json, the committed accuracy sweep (bad-pixel
 # rates + depth RMSE per preset x matcher x PW) from the batch evaluator.

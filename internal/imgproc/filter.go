@@ -30,37 +30,75 @@ func GaussianKernel1D(sigma float64) []float32 {
 
 // SeparableFilter convolves the image with kx horizontally then ky
 // vertically, using replicate border handling. Kernel lengths must be odd.
+//
+// Both passes work on raw Pix row slices and keep one float32 summation
+// order per pixel — taps in kernel order, starting from zero — so the result
+// is bit-identical to the direct two-pass convolution with Image.At.
 func SeparableFilter(im *Image, kx, ky []float32) *Image {
 	if len(kx)%2 == 0 || len(ky)%2 == 0 {
 		panic("imgproc: separable kernels must have odd length")
 	}
-	rx, ry := len(kx)/2, len(ky)/2
-	tmp := GetImage(im.W, im.H)
-	par.ForChunked(im.H, func(lo, hi int) {
+	w, h := im.W, im.H
+	tmp := GetImage(w, h)
+	par.ForChunked(h, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			for x := 0; x < im.W; x++ {
-				var acc float32
-				for i := -rx; i <= rx; i++ {
-					acc += kx[i+rx] * im.At(x+i, y)
-				}
-				tmp.Pix[y*im.W+x] = acc
-			}
+			filterRow(im.Pix[y*w:][:w], kx, tmp.Pix[y*w:][:w])
 		}
 	})
-	out := GetImage(im.W, im.H)
-	par.ForChunked(im.H, func(lo, hi int) {
+	ry := len(ky) / 2
+	out := GetImage(w, h)
+	par.ForChunked(h, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			for x := 0; x < im.W; x++ {
-				var acc float32
-				for i := -ry; i <= ry; i++ {
-					acc += ky[i+ry] * tmp.At(x, y+i)
+			// out starts zeroed; accumulating k[i]·row_i over whole rows
+			// in tap order makes, per pixel, the same additions as a
+			// per-pixel tap loop.
+			dst := out.Pix[y*w:][:w]
+			for i, k := range ky {
+				yy := min(max(y+i-ry, 0), h-1)
+				for x, v := range tmp.Pix[yy*w:][:w] {
+					dst[x] += k * v
 				}
-				out.Pix[y*im.W+x] = acc
 			}
 		}
 	})
 	PutImage(tmp)
 	return out
+}
+
+// filterRow correlates src with the odd-length kernel k into dst (both of
+// length len(src)), replicating the border samples. Pixels whose window
+// leaves the row take a clamped loop; the interior reads an unclamped
+// window.
+func filterRow(src, k, dst []float32) {
+	w, r := len(src), len(k)/2
+	border := func(x int) {
+		var acc float32
+		for i, kv := range k {
+			acc += kv * src[min(max(x+i-r, 0), w-1)]
+		}
+		dst[x] = acc
+	}
+	if w <= 2*r {
+		for x := range dst {
+			border(x)
+		}
+		return
+	}
+	for x := 0; x < r; x++ {
+		border(x)
+	}
+	inner := dst[r : w-r]
+	for x := range inner {
+		win := src[x:][:len(k)]
+		var acc float32
+		for i, kv := range k {
+			acc += kv * win[i]
+		}
+		inner[x] = acc
+	}
+	for x := w - r; x < w; x++ {
+		border(x)
+	}
 }
 
 // GaussianBlur low-pass filters the image with a separable Gaussian of the

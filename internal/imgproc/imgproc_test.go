@@ -1,6 +1,7 @@
 package imgproc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -257,5 +258,20 @@ func TestQuickBilinearBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkSeparableFilter times the two filter shapes Farneback flow runs
+// on a 160×96 frame (a 320×192 stream at flow scale 2): the 5-tap
+// polynomial-expansion moment kernel and the 13-tap window blur.
+func BenchmarkSeparableFilter(b *testing.B) {
+	im := randImage(1, 160, 96)
+	for _, sigma := range []float64{0.55, 1.8} {
+		k := GaussianKernel1D(sigma)
+		b.Run(fmt.Sprintf("taps=%d", len(k)), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				PutImage(SeparableFilter(im, k, k))
+			}
+		})
 	}
 }

@@ -99,7 +99,10 @@ func (s *Stage) Min() time.Duration {
 func (s *Stage) Max() time.Duration { return time.Duration(s.maxNs.Load()) }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) of the
-// observed latencies, resolved to the histogram's power-of-two buckets.
+// observed latencies, resolved to the histogram's power-of-two buckets and
+// clamped to [Min(), Max()]: a bucket's upper edge can lie far above the
+// slowest observation (or, through sub-microsecond truncation, below the
+// fastest), and no quantile may read outside the observed range.
 func (s *Stage) Quantile(q float64) time.Duration {
 	n := s.count.Load()
 	if n == 0 {
@@ -113,7 +116,7 @@ func (s *Stage) Quantile(q float64) time.Duration {
 	for i := 0; i < nBuckets; i++ {
 		seen += s.buckets[i].Load()
 		if seen >= target {
-			return bucketUpper(i)
+			return min(max(bucketUpper(i), s.Min()), s.Max())
 		}
 	}
 	return s.Max()

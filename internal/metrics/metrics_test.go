@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -62,6 +63,37 @@ func TestQuantileBounds(t *testing.T) {
 	}
 	if got := s.Quantile(1.0); got < 256*time.Millisecond {
 		t.Fatalf("p100 = %v, should reach the 500ms outlier's bucket", got)
+	}
+}
+
+func TestQuantilesStayWithinMinMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct {
+		name    string
+		samples []time.Duration
+	}{
+		// Every sample in the bucket whose upper edge is 262ms.
+		{"one-bucket", []time.Duration{217 * time.Millisecond, 200 * time.Millisecond, 140 * time.Millisecond}},
+		{"long-tail", func() []time.Duration {
+			var d []time.Duration
+			for i := 0; i < 500; i++ {
+				d = append(d, time.Duration(1+rng.ExpFloat64()*float64(3*time.Millisecond)))
+			}
+			return append(d, 217*time.Millisecond)
+		}()},
+		// Sub-microsecond truncation puts 1.9µs in the bucket whose upper
+		// edge is 1µs.
+		{"sub-microsecond", []time.Duration{1900, 1950, 1999}},
+	} {
+		s := NewRegistry().Stage(tc.name)
+		for _, d := range tc.samples {
+			s.Observe(d)
+		}
+		for _, q := range []float64{0.01, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
+			if got := s.Quantile(q); got < s.Min() || got > s.Max() {
+				t.Errorf("%s: p%v = %v outside [%v, %v]", tc.name, 100*q, got, s.Min(), s.Max())
+			}
+		}
 	}
 }
 

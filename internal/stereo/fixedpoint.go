@@ -35,6 +35,19 @@ func quantize8(im *imgproc.Image) []uint8 {
 	return out
 }
 
+// mirrorRows returns a copy of the w-wide row-major plane p with every row
+// reversed.
+func mirrorRows[T uint8 | uint64](p []T, w int) []T {
+	m := make([]T, len(p))
+	for row := 0; row+w <= len(p); row += w {
+		src, dst := p[row:][:w], m[row:][:w]
+		for i, v := range src {
+			dst[w-1-i] = v
+		}
+	}
+	return m
+}
+
 // roundPenalty converts a float smoothness penalty to the uint16 domain.
 func roundPenalty(p float32) uint16 {
 	r := math.Round(float64(p))
@@ -134,48 +147,65 @@ func wtaStrip(vol []uint16, out *imgproc.Image, w, y0, y1, nd int, opt BMOptions
 }
 
 // refineFixed is the fixed-point implementation behind Refine when
-// BMOptions.Fixed is set: the guided ±searchR correspondence search with
-// integer per-candidate block costs.
+// BMOptions.Fixed is set: the guided ±searchR correspondence search, with
+// integer block costs from the column-cached refineCostRow kernel.
 func refineFixed(left, right, init *imgproc.Image, searchR int, opt BMOptions) *imgproc.Image {
-	w, h := left.W, left.H
+	w, h, r := left.W, left.H, opt.BlockR
 	out := imgproc.NewImage(w, h)
-	var cand func(x, y, d int) uint32
+	var cols colCoster
 	if opt.Census > 0 {
-		cl, cr := census(left, opt.Census), census(right, opt.Census)
-		cand = func(x, y, d int) uint32 {
-			return hamBlockU64(cl, cr, w, h, x, y, d, opt.BlockR)
-		}
+		cols = &censusCols{census(left, opt.Census), mirrorRows(census(right, opt.Census), w), w}
 	} else {
-		l8, r8 := quantize8(left), quantize8(right)
-		cand = func(x, y, d int) uint32 {
-			return sadBlockU8(l8, r8, w, h, x, y, d, opt.BlockR)
-		}
+		cols = &sadCols{quantize8(left), mirrorRows(quantize8(right), w), w}
 	}
-	par.For(h, func(y int) {
-		costs := make([]uint32, 2*searchR+1)
-		for x := 0; x < w; x++ {
-			center := int(math.Round(float64(init.At(x, y))))
-			lo := max(center-searchR, 0)
-			hi := min(center+searchR, x)
-			if lo > hi {
-				out.Set(x, y, 0)
-				continue
-			}
-			best := uint32(math.MaxUint32)
-			bestD := lo
-			for d := lo; d <= hi; d++ {
-				c := cand(x, y, d)
-				costs[d-lo] = c
-				if c < best {
-					best, bestD = c, d
+	nb := 2*searchR + 1
+	band := func(x, y int) (lo, hi int) {
+		center := int(math.Round(float64(init.Pix[y*w+x])))
+		return max(center-searchR, 0), min(center+searchR, x)
+	}
+	par.ForChunked(h, func(y0, y1 int) {
+		// The column-cost table keeps one disparity stride over the chunk,
+		// so cached columns slide from row to row.
+		nd := 0
+		for y := y0; y < y1; y++ {
+			for x := 0; x < w; x++ {
+				if a, b := band(x, y); a <= b {
+					nd = max(nd, b+1)
 				}
 			}
-			disp := float64(bestD)
-			if opt.Subpixel && bestD > lo && bestD < hi {
-				i := bestD - lo
-				disp += subpixelFit(float64(costs[i-1]), float64(costs[i]), float64(costs[i+1]))
+		}
+		lo, hi := make([]int, w), make([]int, w)
+		costs := make([]uint32, w*nb)
+		tbl := make([]uint32, (w+2*r)*nd)
+		spans, need := make([]colSpan, w+2*r), make([]colSpan, w+2*r)
+		for p := range spans {
+			spans[p] = noSpan
+		}
+		for y := y0; y < y1; y++ {
+			for x := range lo {
+				lo[x], hi[x] = band(x, y)
 			}
-			out.Set(x, y, float32(disp))
+			refineCostRow(cols, y, h, r, nb, nd, lo, hi, costs, tbl, spans, need)
+			for x, a := range lo {
+				b := hi[x]
+				if a > b {
+					continue
+				}
+				// Ties keep the smallest disparity, like the float
+				// search's strict less-than.
+				bc := costs[x*nb:][:b-a+1]
+				i := 0
+				for j, c := range bc {
+					if c < bc[i] {
+						i = j
+					}
+				}
+				disp := float64(a + i)
+				if opt.Subpixel && i > 0 && i < len(bc)-1 {
+					disp += subpixelFit(float64(bc[i-1]), float64(bc[i]), float64(bc[i+1]))
+				}
+				out.Pix[y*w+x] = float32(disp)
+			}
 		}
 	})
 	return out

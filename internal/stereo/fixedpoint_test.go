@@ -1,7 +1,9 @@
 package stereo
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -53,20 +55,60 @@ func sameImage(t *testing.T, name string, got, want *imgproc.Image) {
 	}
 }
 
+// sadBlockU8 returns the quantized block SAD of aligning the block around
+// (x, y) with disparity d, summed directly per candidate — the reference the
+// sliding-window and column-cached kernels are checked against. Border
+// handling is clamp-then-shift, matching blockCostStrip.
+func sadBlockU8(l8, r8 []uint8, w, h, x, y, d, r int) uint32 {
+	var s uint32
+	for dy := -r; dy <= r; dy++ {
+		row := clampInt(y+dy, 0, h-1) * w
+		lrow := l8[row:][:w]
+		rrow := r8[row:][:w]
+		for dx := -r; dx <= r; dx++ {
+			xx := clampInt(x+dx, 0, w-1)
+			s += uint32(absDiffU8(lrow[xx], rrow[clampInt(xx-d, 0, w-1)]))
+		}
+	}
+	return s
+}
+
+// hamBlockU64 is sadBlockU8's census counterpart: the block Hamming cost
+// between census descriptor planes, identical to the float census path.
+func hamBlockU64(cl, cr []uint64, w, h, x, y, d, r int) uint32 {
+	var s uint32
+	for dy := -r; dy <= r; dy++ {
+		row := clampInt(y+dy, 0, h-1) * w
+		lrow := cl[row:][:w]
+		rrow := cr[row:][:w]
+		for dx := -r; dx <= r; dx++ {
+			xx := clampInt(x+dx, 0, w-1)
+			s += uint32(bits.OnesCount64(lrow[xx] ^ rrow[clampInt(xx-d, 0, w-1)]))
+		}
+	}
+	return s
+}
+
+// naiveBlockCost returns the per-candidate block cost cand(x, y, d) of the
+// configured cost: sadBlockU8 on quantized intensities, or hamBlockU64 on
+// census descriptors.
+func naiveBlockCost(left, right *imgproc.Image, opt BMOptions) func(x, y, d int) uint32 {
+	w, h := left.W, left.H
+	if opt.Census > 0 {
+		cl, cr := census(left, opt.Census), census(right, opt.Census)
+		return func(x, y, d int) uint32 { return hamBlockU64(cl, cr, w, h, x, y, d, opt.BlockR) }
+	}
+	l8, r8 := quantize8(left), quantize8(right)
+	return func(x, y, d int) uint32 { return sadBlockU8(l8, r8, w, h, x, y, d, opt.BlockR) }
+}
+
 // naiveFixedMatch recomputes matchFixed's result with direct per-candidate
 // block costs (sadBlockU8/hamBlockU64) instead of the sliding-window strips,
 // sharing only the readout semantics — an independent check of the
 // blockCostStrip bookkeeping.
 func naiveFixedMatch(left, right *imgproc.Image, opt BMOptions) *imgproc.Image {
 	w, h := left.W, left.H
-	var cand func(x, y, d int) uint32
-	if opt.Census > 0 {
-		cl, cr := census(left, opt.Census), census(right, opt.Census)
-		cand = func(x, y, d int) uint32 { return hamBlockU64(cl, cr, w, h, x, y, d, opt.BlockR) }
-	} else {
-		l8, r8 := quantize8(left), quantize8(right)
-		cand = func(x, y, d int) uint32 { return sadBlockU8(l8, r8, w, h, x, y, d, opt.BlockR) }
-	}
+	cand := naiveBlockCost(left, right, opt)
 	out := imgproc.NewImage(w, h)
 	costs := make([]float64, opt.MaxDisp+1)
 	for y := 0; y < h; y++ {
@@ -124,6 +166,89 @@ func TestMatchFixedAgainstNaiveReference(t *testing.T) {
 		got := Match(left, right, opt)
 		want := naiveFixedMatch(left, right, opt)
 		sameImage(t, "matchFixed", got, want)
+	}
+}
+
+// naiveFixedRefine is the guided ±searchR search with one direct
+// sadBlockU8/hamBlockU64 call per candidate — the reference for the
+// column-cached refineCostRow kernel behind refineFixed.
+func naiveFixedRefine(left, right, init *imgproc.Image, searchR int, opt BMOptions) *imgproc.Image {
+	w, h := left.W, left.H
+	cand := naiveBlockCost(left, right, opt)
+	out := imgproc.NewImage(w, h)
+	costs := make([]uint32, 2*searchR+1)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			center := int(math.Round(float64(init.At(x, y))))
+			lo, hi := max(center-searchR, 0), min(center+searchR, x)
+			if lo > hi {
+				continue
+			}
+			best := uint32(math.MaxUint32)
+			bestD := lo
+			for d := lo; d <= hi; d++ {
+				c := cand(x, y, d)
+				costs[d-lo] = c
+				if c < best {
+					best, bestD = c, d
+				}
+			}
+			disp := float64(bestD)
+			if opt.Subpixel && bestD > lo && bestD < hi {
+				i := bestD - lo
+				disp += subpixelFit(float64(costs[i-1]), float64(costs[i]), float64(costs[i+1]))
+			}
+			out.Set(x, y, float32(disp))
+		}
+	}
+	return out
+}
+
+// randInit draws an initial disparity map that exercises every band shape
+// of the guided search: runs of one repeated center (the sliding case),
+// independent jumps, centers below 0 (empty or clipped bands) and beyond x
+// (bands clipped at d <= x), plus fractional values that round.
+func randInit(rng *rand.Rand, w, h, maxD int) *imgproc.Image {
+	init := imgproc.NewImage(w, h)
+	for y := 0; y < h; y++ {
+		var c float32
+		for x := 0; x < w; x++ {
+			switch k := rng.Intn(10); {
+			case k < 5 && x > 0: // repeat the previous center
+			case k < 6:
+				c = -1 - float32(rng.Intn(8)) // below 0
+			case k < 7:
+				c = float32(x + 1 + rng.Intn(6)) // beyond x
+			default:
+				c = float32(rng.Intn(maxD+1)) + rng.Float32() - 0.5
+			}
+			init.Set(x, y, c)
+		}
+	}
+	return init
+}
+
+func TestRefineFixedAgainstNaiveReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, census := range []int{0, 2} {
+		for blockR := 0; blockR <= 3; blockR++ {
+			for searchR := 1; searchR <= 5; searchR++ {
+				// Widths up to 2r+1 clamp every window at both borders; the
+				// taller frame slides cached columns down many rows.
+				for _, sz := range [][2]int{{1, 9}, {2 * blockR, 9}, {2*blockR + 1, 9}, {37, 9}, {37, 41}} {
+					w, h := sz[0], sz[1]
+					if w < 1 {
+						continue
+					}
+					left, right := randPair(rng, w, h)
+					init := randInit(rng, w, h, 20)
+					opt := BMOptions{BlockR: blockR, Subpixel: true, Census: census, Fixed: true}
+					got := Refine(left, right, init, searchR, opt)
+					want := naiveFixedRefine(left, right, init, searchR, opt)
+					sameImage(t, fmt.Sprintf("refine census=%d r=%d searchR=%d w=%d", census, blockR, searchR, w), got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 
 // KernelPoint is one (kernel, variant, size) benchmark measurement.
 type KernelPoint struct {
-	Kernel     string  `json:"kernel"`  // sad | census | cvf | sgm-aggregate | wta
+	Kernel     string  `json:"kernel"`  // sad | census | cvf | sgm-aggregate | wta | refine
 	Variant    string  `json:"variant"` // float | fixed
 	W          int     `json:"w"`
 	H          int     `json:"h"`
@@ -72,9 +72,9 @@ type kernelVariants struct {
 }
 
 // MeasureKernels benchmarks every matching kernel at the given frame sizes
-// and disparity range, timing each variant rounds times and keeping the
-// fastest run. Results are ordered kernel-major with the float row directly
-// before its fixed row.
+// and disparity range (refine searches ±3 regardless), timing each variant
+// rounds times and keeping the fastest run. Results are ordered
+// kernel-major with the float row directly before its fixed row.
 func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 	var points []KernelPoint
 	for _, sz := range sizes {
@@ -104,6 +104,14 @@ func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 		floatSum := aggregateAll(floatCost, w, h, nd, sgmOpt.Paths, sgmOpt.P1, sgmOpt.P2)
 		fixedSum := aggregateFixed(fixedCost, w, h, nd, sgmOpt.Paths, p1, p2)
 
+		// Guided refine (the ISM non-key step) at the pipeline's defaults,
+		// ±3 around the fixed SAD match, which stands in for a propagated
+		// disparity map.
+		refineOpt := BMOptions{BlockR: 2, Subpixel: true}
+		refineFixedOpt := refineOpt
+		refineFixedOpt.Fixed = true
+		refineInit := Match(left, right, bmFixed)
+
 		kernels := []kernelVariants{
 			{"sad",
 				func() { Match(left, right, bmOpt) },
@@ -120,6 +128,9 @@ func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 			{"wta",
 				func() { wtaVolume(floatSum, w, h, nd, true) },
 				func() { wtaVolumeU16(fixedSum, w, h, nd, true) }},
+			{"refine",
+				func() { Refine(left, right, refineInit, 3, refineOpt) },
+				func() { Refine(left, right, refineInit, 3, refineFixedOpt) }},
 		}
 		for _, k := range kernels {
 			fl := timeKernel(w, h, rounds, k.float)

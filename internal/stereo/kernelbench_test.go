@@ -7,8 +7,8 @@ func TestMeasureKernels(t *testing.T) {
 		t.Skip("benchmark harness, skipped in -short")
 	}
 	points := MeasureKernels([][2]int{{32, 24}}, 8, 1)
-	if len(points) != 10 { // 5 kernels × 2 variants
-		t.Fatalf("got %d points, want 10", len(points))
+	if len(points) != 12 { // 6 kernels × 2 variants
+		t.Fatalf("got %d points, want 12", len(points))
 	}
 	for _, p := range points {
 		if p.NsPerPixel <= 0 {

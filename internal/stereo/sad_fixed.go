@@ -1,6 +1,9 @@
 package stereo
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Fixed-point block-matching cost kernels (integer-only file; see
 // satmath_fixed.go). The full-search matcher is restructured from the float
@@ -205,38 +208,208 @@ func slideRow(src []uint16, w, r int, dst []uint16) {
 	}
 }
 
-// sadBlockU8 returns the quantized block SAD of aligning the block around
-// (x, y) with disparity d — the per-candidate cost of the fixed-point guided
-// refinement, where candidate centers vary per pixel and window reuse does
-// not apply. Border handling is clamp-then-shift, matching blockCostStrip.
-func sadBlockU8(l8, r8 []uint8, w, h, x, y, d, r int) uint32 {
-	var s uint32
-	for dy := -r; dy <= r; dy++ {
-		// Row windows of length w: the clamped column indexes are provably
-		// inside them, so the candidate loop carries no bounds checks.
-		row := clampInt(y+dy, 0, h-1) * w
-		lrow := l8[row:][:w]
-		rrow := r8[row:][:w]
-		for dx := -r; dx <= r; dx++ {
-			xx := clampInt(x+dx, 0, w-1)
-			s += uint32(absDiffU8(lrow[xx], rrow[clampInt(xx-d, 0, w-1)]))
-		}
-	}
-	return s
+// colCoster adds one image row's matching costs to the vertical column
+// costs of the guided refinement,
+//
+//	col_y(xx, d) = Σ_{|dy|<=r} cost(xx, clamp(y+dy), d).
+//
+// addRow adds sign·cost(xx, yy, a+i) to dst[i] for left column xx
+// (0 <= xx < w) at the consecutive disparities a, a+1, … (a >= 0) that dst
+// covers; sign is 1, or subRow to subtract in exact uint32 arithmetic. Right
+// columns xx-d < 0 clamp to column 0 (clamp-then-shift, as in rowCoster).
+// Implementations read the right view with every row mirrored
+// (mirrorRows), so the right columns xx-a, xx-a-1, … that consecutive
+// disparities need are consecutive samples.
+type colCoster interface {
+	addRow(yy, xx, a int, sign uint32, dst []uint32)
 }
 
-// hamBlockU64 is sadBlockU8's census counterpart: the block Hamming cost
-// between census descriptor planes, identical to the float census path.
-func hamBlockU64(cl, cr []uint64, w, h, x, y, d, r int) uint32 {
-	var s uint32
-	for dy := -r; dy <= r; dy++ {
-		row := clampInt(y+dy, 0, h-1) * w
-		lrow := cl[row:][:w]
-		rrow := cr[row:][:w]
-		for dx := -r; dx <= r; dx++ {
-			xx := clampInt(x+dx, 0, w-1)
-			s += uint32(bits.OnesCount64(lrow[xx] ^ rrow[clampInt(xx-d, 0, w-1)]))
+// subRow is the addRow sign that subtracts: -1 in two's complement.
+const subRow = ^uint32(0)
+
+// colSplit returns how many of the disparities a, a+1, … of column xx
+// (at most n) read inside the right row, and the mirrored sample the first
+// of them reads (past the row only when none does). The rest read the
+// clamped border column.
+func colSplit(w, xx, a, n int) (m, first int) {
+	return min(max(xx-a+1, 0), n), min(w-1-xx+a, w)
+}
+
+// sadCols is the colCoster of uint8-quantized intensities; r8m holds the
+// right view's rows mirrored.
+type sadCols struct {
+	l8, r8m []uint8
+	w       int
+}
+
+func (c *sadCols) addRow(yy, xx, a int, sign uint32, dst []uint32) {
+	w := c.w
+	// Callers pass clamped columns; the guard lets the prove pass drop the
+	// lrow[xx] check.
+	if xx < 0 || xx >= w {
+		return
+	}
+	m, first := colSplit(w, xx, a, len(dst))
+	lrow := c.l8[yy*w:][:w]
+	mrow := c.r8m[yy*w:][:w]
+	lv := lrow[xx]
+	in, out := dst[:m], dst[m:]
+	for i, rv := range mrow[first:][:m] {
+		in[i] += sign * uint32(absDiffU8(lv, rv))
+	}
+	b := sign * uint32(absDiffU8(lv, mrow[w-1]))
+	for i := range out {
+		out[i] += b
+	}
+}
+
+// censusCols is sadCols' census counterpart over descriptor planes; crm
+// holds the right plane's rows mirrored.
+type censusCols struct {
+	cl, crm []uint64
+	w       int
+}
+
+func (c *censusCols) addRow(yy, xx, a int, sign uint32, dst []uint32) {
+	w := c.w
+	if xx < 0 || xx >= w {
+		return
+	}
+	m, first := colSplit(w, xx, a, len(dst))
+	lrow := c.cl[yy*w:][:w]
+	mrow := c.crm[yy*w:][:w]
+	lv := lrow[xx]
+	in, out := dst[:m], dst[m:]
+	for i, rv := range mrow[first:][:m] {
+		in[i] += sign * uint32(bits.OnesCount64(lv^rv))
+	}
+	b := sign * uint32(bits.OnesCount64(lv^mrow[w-1]))
+	for i := range out {
+		out[i] += b
+	}
+}
+
+// colSpan is a disparity interval [lo, hi]; lo > hi is empty.
+type colSpan struct{ lo, hi int }
+
+// noSpan is the empty colSpan: intersecting it leaves nothing, and a
+// min/max union with it yields the other operand.
+var noSpan = colSpan{math.MaxInt, -1}
+
+// refineCostRow is the guided-refinement cost kernel for image row y. Pixel
+// x searches the disparity band [lo[x], hi[x]] (skipped when
+// lo[x] > hi[x]; otherwise 0 <= lo[x] and hi[x] < nd) and receives the block
+// costs
+//
+//	costs[x*nb + d-lo[x]] = Σ_{|dx|<=r} col_y(clamp(x+dx), d)
+//
+// of every d in its band (nb >= hi[x]-lo[x]+1). Column costs are cached in
+// tbl, (w+2r)·nd cells laid out [padded column][disparity]: padded column p
+// holds image column clamp(p-r), so pixel x's window is columns x..x+2r.
+// Each column holds just the hull of the bands of the pixels whose window
+// covers it, and spans (w+2r entries) records that hull. Callers run the
+// rows of a chunk in order with one tbl and spans, spans starting as
+// noSpan: a disparity a column held for row y-1 slides down to row y by one
+// row in and one row out, and only the rest is summed afresh. Along the
+// row, a disparity that pixel x-1 also scored slides its box sum in O(1):
+// drop column x-1, add column x+2r. All sums are exact uint32, so every
+// cost equals the per-candidate O(block²) sum.
+func refineCostRow(cols colCoster, y, h, r, nb, nd int, lo, hi []int, costs, tbl []uint32, spans, need []colSpan) {
+	w := len(lo)
+	hi = hi[:w]
+	costs = costs[:w*nb]
+	pw := w + 2*r
+	tbl = tbl[:pw*nd]
+	spans = spans[:pw]
+	need = need[:pw]
+	n := 2*r + 1
+	for p := range need {
+		need[p] = noSpan
+	}
+	for x, a := range lo {
+		b := hi[x]
+		if a > b {
+			continue
+		}
+		win := need[x:][:n]
+		for i, s := range win {
+			win[i] = colSpan{min(s.lo, a), max(s.hi, b)}
 		}
 	}
-	return s
+	for p, s := range need {
+		old := spans[p]
+		spans[p] = s
+		if s.lo > s.hi {
+			continue
+		}
+		xx := clampInt(p-r, 0, w-1)
+		c := tbl[p*nd:][:nd]
+		// Disparities the column held for row y-1 slide; the rest of the
+		// hull is summed afresh.
+		ia, ib := max(s.lo, old.lo), min(s.hi, old.hi)
+		if ia > ib {
+			ia, ib = s.hi+1, s.hi
+		}
+		if s.lo < ia {
+			fillCol(cols, y, h, r, xx, s.lo, c[s.lo:ia])
+		}
+		if ia <= ib {
+			cols.addRow(clampInt(y+r, 0, h-1), xx, ia, 1, c[ia:ib+1])
+			cols.addRow(clampInt(y-1-r, 0, h-1), xx, ia, subRow, c[ia:ib+1])
+		}
+		if ib < s.hi {
+			fillCol(cols, y, h, r, xx, ib+1, c[ib+1:s.hi+1])
+		}
+	}
+	prev := noSpan // the band of pixel x-1
+	for x, a := range lo {
+		b := hi[x]
+		if a > b {
+			prev = noSpan
+			continue
+		}
+		cur := costs[x*nb:][:b-a+1]
+		// Disparities in both bands slide; the rest are summed over the
+		// full window.
+		oa, ob := max(a, prev.lo), min(b, prev.hi)
+		if oa > ob {
+			oa, ob = b+1, b
+		}
+		sumCols(cur[:oa-a], tbl, nd, x, n, a)
+		sumCols(cur[ob+1-a:], tbl, nd, x, n, ob+1)
+		if oa <= ob {
+			m := ob - oa + 1
+			pc := costs[(x-1)*nb+oa-prev.lo:][:m]
+			drop := tbl[(x-1)*nd+oa:][:m]
+			add := tbl[(x+2*r)*nd+oa:][:m]
+			c := cur[oa-a:][:m]
+			for i, v := range pc {
+				c[i] = v - drop[i] + add[i]
+			}
+		}
+		prev = colSpan{a, b}
+	}
+}
+
+// fillCol sets dst[i] = col_y(xx, a+i) over the 2r+1 clamped rows of an
+// h-row image.
+func fillCol(cols colCoster, y, h, r, xx, a int, dst []uint32) {
+	clear(dst)
+	for dy := -r; dy <= r; dy++ {
+		cols.addRow(clampInt(y+dy, 0, h-1), xx, a, 1, dst)
+	}
+}
+
+// sumCols fills dst[i] with the sum of disparity d0+i over the n table
+// columns p0, p0+1, … (row stride nd).
+func sumCols(dst, tbl []uint32, nd, p0, n, d0 int) {
+	if len(dst) == 0 {
+		return
+	}
+	clear(dst)
+	for p := p0; p < p0+n; p++ {
+		for i, v := range tbl[p*nd+d0:][:len(dst)] {
+			dst[i] += v
+		}
+	}
 }
