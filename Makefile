@@ -25,7 +25,7 @@ FUZZ_TARGETS := \
 # Minimum total test coverage (percent) enforced by `make cover` and CI.
 COVER_THRESHOLD := 80
 
-.PHONY: build test race bench bench-json serve-bench-json kernels-json kernels-gate eval-json ladder-json perfbench serve-smoke cluster-smoke perception-smoke degrade-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
+.PHONY: build test race perfbench-test bench bench-json serve-bench-json kernels-json kernels-gate eval-json ladder-json perfbench serve-smoke cluster-smoke perception-smoke degrade-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
 
 build:
 	go build ./...
@@ -39,6 +39,11 @@ test:
 
 race:
 	go test -race $(RACE_PKGS)
+
+# perfbench/ is a nested module, so `go test ./...` never builds it, yet it
+# is the benchmark's contract with the pipeline, quality and serve APIs.
+perfbench-test:
+	cd perfbench && go vet ./... && go test ./...
 
 bench:
 	go test -run '^$$' -bench . -benchtime 1x ./...
@@ -152,4 +157,4 @@ cover:
 	if [ "$$ok" != 1 ]; then \
 		echo "coverage $$total% is below the $(COVER_THRESHOLD)% floor" >&2; exit 1; fi
 
-check: build vet lint perf-gate fmt-check test race bench fuzz-smoke serve-smoke cluster-smoke perception-smoke degrade-smoke cover kernels-gate
+check: build vet lint perf-gate fmt-check test race perfbench-test bench fuzz-smoke serve-smoke cluster-smoke perception-smoke degrade-smoke cover kernels-gate

@@ -41,9 +41,6 @@ type Image = imgproc.Image
 // NewImage returns a zero-filled w×h image.
 func NewImage(w, h int) *Image { return imgproc.NewImage(w, h) }
 
-// FromPix wraps a copy of pix as a w×h image.
-func FromPix(pix []float32, w, h int) *Image { return imgproc.FromPix(pix, w, h) }
-
 // ISM pipeline (the paper's primary contribution).
 
 // Pipeline is the stateful ISM engine; create one per stereo stream with
@@ -65,10 +62,6 @@ type SGMKeyMatcher = core.SGMMatcher
 
 // BMKeyMatcher adapts full-search block matching as the key-frame matcher.
 type BMKeyMatcher = core.BMMatcher
-
-// OracleKeyMatcher emulates a trained stereo DNN at a published error rate
-// (see DESIGN.md, substitutions).
-type OracleKeyMatcher = core.OracleMatcher
 
 // DefaultPipelineConfig returns the evaluation configuration: PW-4,
 // half-resolution Farneback flow, ±3 guided search.
@@ -150,17 +143,8 @@ func DefaultAdaptiveKeyConfig() AdaptiveKeyConfig { return core.DefaultAdaptiveC
 
 // Pluggable motion estimation (Sec. 3.3 design-decision ablation).
 
-// MotionEstimator abstracts ISM's propagation motion source.
-type MotionEstimator = core.MotionEstimator
-
-// FarnebackMotion is the paper's dense-flow estimator.
-type FarnebackMotion = core.FarnebackME
-
 // BlockMotion is block-matching motion estimation (per-block vectors).
 type BlockMotion = core.BlockME
-
-// ZeroMotion assumes a static scene.
-type ZeroMotion = core.ZeroME
 
 // CVFOptions configures cost-volume-filtering stereo matching.
 type CVFOptions = stereo.CVFOptions

@@ -21,13 +21,6 @@ type ClusterConfig = cluster.Config
 // the snapshot/restore API on drain.
 type ClusterGateway = cluster.Gateway
 
-// ClusterRing is the consistent-hash ring the gateway routes with, exported
-// so tooling (e.g. the bench's balanced-id picker) can predict placement.
-type ClusterRing = cluster.Ring
-
-// ClusterDrainReport summarizes one drain operation.
-type ClusterDrainReport = cluster.DrainReport
-
 // ServeClusterLoadReport is a cluster-mode load run: per-target reports plus
 // an aggregate whose percentiles cover the merged sample set.
 type ServeClusterLoadReport = serve.ClusterLoadReport
@@ -42,10 +35,4 @@ func RunServeLoadCluster(cfg ServeLoadConfig, targets []string) (ServeClusterLoa
 // to bind a listener and Close to stop.
 func NewClusterGateway(cfg ClusterConfig) (*ClusterGateway, error) {
 	return cluster.New(cfg)
-}
-
-// NewClusterRing builds a consistent-hash ring over the named shards;
-// replicas < 1 selects the default vnode count.
-func NewClusterRing(shards []string, replicas int) *ClusterRing {
-	return cluster.NewRing(shards, replicas)
 }

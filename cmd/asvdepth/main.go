@@ -6,7 +6,7 @@
 // Usage:
 //
 //	asvdepth -pw 4 -frames 12 -w 192 -h 120
-//	asvdepth -stream -metrics     # concurrent runtime + per-stage metrics
+//	asvdepth -metrics             # per-stage metrics (serial or -stream)
 package main
 
 import (
@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"asv"
+	"asv/internal/pipeline"
 )
 
 func main() {
@@ -84,10 +85,11 @@ func run(args []string, out io.Writer) error {
 			results = append(results, r.Result)
 		}
 	} else {
+		// pipeline.ProcessFrame is bit-identical to pipe.Process and records
+		// the per-stage metrics.
 		pipe := asv.NewPipeline(matcher, cfg)
 		for _, fr := range seq.Frames {
-			res := pipe.Process(fr.Left, fr.Right)
-			results = append(results, res)
+			results = append(results, pipeline.ProcessFrame(pipe, matcher, fr.Left, fr.Right, reg))
 		}
 	}
 

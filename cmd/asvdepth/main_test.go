@@ -52,15 +52,18 @@ func TestRunFixedFlag(t *testing.T) {
 	}
 }
 
+// -metrics must print a populated stage table in both modes.
 func TestRunMetricsFlag(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-frames", "4", "-w", "64", "-h", "48", "-stream", "-metrics"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"per-stage metrics:", "flow", "keymatch", "pool"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("metrics dump missing %q:\n%s", want, out)
+	for _, mode := range [][]string{{"-stream"}, nil} {
+		var b strings.Builder
+		if err := run(append([]string{"-frames", "4", "-w", "64", "-h", "48", "-metrics"}, mode...), &b); err != nil {
+			t.Fatal(err)
+		}
+		out := b.String()
+		for _, want := range []string{"per-stage metrics:", "flow", "keymatch", "propagate+refine", "frame", "pool"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("%v: metrics dump missing %q:\n%s", mode, want, out)
+			}
 		}
 	}
 }

@@ -36,6 +36,12 @@ import (
 	"asv/internal/analysis"
 )
 
+// loadModule parses and type-checks every package of the module rooted at
+// root. A variable so the module-wide tests can share one load.
+var loadModule = func(root string) ([]*analysis.Pass, error) {
+	return analysis.NewLoader().LoadModule(root)
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -90,8 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	loader := analysis.NewLoader()
-	passes, err := loader.LoadModule(root)
+	passes, err := loadModule(root)
 	if err != nil {
 		fmt.Fprintf(stderr, "asvlint: %v\n", err)
 		return 2

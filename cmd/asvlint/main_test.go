@@ -4,8 +4,24 @@ import (
 	"bytes"
 	"os"
 	"strings"
+	"sync"
 	"testing"
+
+	"asv/internal/analysis"
 )
+
+// The module-clean tests below share one type-check of the module, the
+// slow part of a run; each still renders and checks its own output format.
+func init() {
+	load := loadModule
+	var once sync.Once
+	var passes []*analysis.Pass
+	var err error
+	loadModule = func(root string) ([]*analysis.Pass, error) {
+		once.Do(func() { passes, err = load(root) })
+		return passes, err
+	}
+}
 
 func TestRunRejectsUnknownRule(t *testing.T) {
 	var out, errb bytes.Buffer

@@ -13,8 +13,8 @@
 //  3. refines the propagated estimate with a cheap 1-D guided block-matching
 //     search.
 //
-// The propagation-window parameter PW selects every PW-th frame as a key
-// frame (PW-2 and PW-4 in the paper's Fig. 9).
+// The propagation-window parameter PW makes every PW-th frame a key frame
+// (PW-2 and PW-4 in the paper's Fig. 9); Pipeline.NextIsKey is the rule.
 package core
 
 import (
@@ -52,7 +52,7 @@ type Config struct {
 	RefineR int
 	// BM configures the SAD block used by the guided search.
 	BM stereo.BMOptions
-	// Adaptive, when non-nil, replaces the static PW schedule with the
+	// Adaptive, when non-nil, replaces the PW window with the
 	// motion-triggered key-frame controller (see AdaptiveConfig).
 	Adaptive *AdaptiveConfig
 	// ME overrides the motion estimator (nil selects FarnebackME with the
@@ -78,6 +78,18 @@ func (c Config) me() MotionEstimator {
 // be safe for concurrent Estimate calls (all built-in estimators are
 // stateless values).
 func (c Config) MotionSource() MotionEstimator { return c.me() }
+
+// KeyDue reports whether a key frame is due sinceKey frames after the last
+// one: once sinceKey reaches PW, or Adaptive.MaxWindow when the
+// motion-triggered controller is on. Pipeline.NextIsKey applies it to the
+// committed stream; the streaming runtime's dispatcher applies it ahead of
+// the commits.
+func (c Config) KeyDue(sinceKey int) bool {
+	if c.Adaptive != nil {
+		return sinceKey >= c.Adaptive.MaxWindow
+	}
+	return sinceKey >= c.PW
+}
 
 // DefaultConfig returns the configuration used in the evaluation: PW-4,
 // half-resolution Farneback flow and a ±3 guided search with 5×5 blocks.
@@ -143,11 +155,11 @@ func New(matcher KeyMatcher, cfg Config) *Pipeline {
 func (p *Pipeline) Config() Config { return p.cfg }
 
 // SetConfig replaces the pipeline's tuning parameters in place, leaving the
-// temporal state untouched. The quality ladder uses it to flip the
-// fixed-point refine kernels around degraded frames; callers that change
-// parameters the temporal kernels are sensitive to (flow options, refine
-// radius) own the accuracy consequences. Panics, like New, on an invalid
-// configuration.
+// temporal state untouched. The quality ladder uses it to apply a rung's
+// stretched window and fixed-point refine kernels to one frame; callers that
+// change parameters the temporal kernels are sensitive to (flow options,
+// refine radius) own the accuracy consequences. Panics, like New, on an
+// invalid configuration.
 func (p *Pipeline) SetConfig(cfg Config) {
 	cfg.validate()
 	p.cfg = cfg
@@ -155,9 +167,9 @@ func (p *Pipeline) SetConfig(cfg Config) {
 
 // PrevFrames returns the previous frame's left and right images — the
 // reference inputs a motion estimator needs to compute flow to the current
-// frame — or nil before the first key frame. External drivers (the
-// streaming runtime, the serving layer) use it to run flow estimation
-// outside the pipeline and commit via ProcessNonKeyWith.
+// frame — or nil before the first key frame. pipeline.ProcessFrame uses it
+// to run flow estimation outside the pipeline and commit via
+// ProcessNonKeyWith.
 func (p *Pipeline) PrevFrames() (left, right *imgproc.Image) {
 	return p.prevLeft, p.prevRight
 }
@@ -173,24 +185,13 @@ func (p *Pipeline) Reset() {
 // FrameIndex returns the number of frames processed since the last Reset.
 func (p *Pipeline) FrameIndex() int { return p.frameIdx }
 
-// SinceKey returns the number of frames since the last key commit (1 means
-// the key frame itself was the previous frame), or 0 before any key frame.
-// External schedulers (the quality ladder's stretched-window rule) key off
-// it because, unlike the frame index, it stays coherent when the effective
-// window changes mid-stream.
-func (p *Pipeline) SinceKey() int { return p.sinceKey }
-
-// NextIsKey reports whether the next Process call will treat its frame as a
-// key frame: the static PW schedule by default, or the motion-triggered
-// controller when Config.Adaptive is set.
+// NextIsKey reports whether the next frame is a key frame. It is ISM's one
+// key-frame rule: a key frame when there is no committed disparity to
+// propagate from, when the adaptive controller asked for one, or once the
+// window is due (Config.KeyDue). The frame index plays no part, so the
+// schedule stays coherent when SetConfig changes the window mid-stream.
 func (p *Pipeline) NextIsKey() bool {
-	if p.prevDisp == nil {
-		return true
-	}
-	if a := p.cfg.Adaptive; a != nil {
-		return p.needKey || p.sinceKey >= a.MaxWindow
-	}
-	return p.frameIdx%p.cfg.PW == 0
+	return p.prevDisp == nil || p.needKey || p.cfg.KeyDue(p.sinceKey)
 }
 
 // Process consumes the next stereo pair of the stream, deciding key/non-key

@@ -61,6 +61,64 @@ func TestKeyFrameSchedule(t *testing.T) {
 	}
 }
 
+// The key-frame rule counts frames since the last key, never the frame
+// index: a restored State whose index is off the PW grid keeps its phase,
+// and a mid-stream SetConfig window change applies to the frames since the
+// last key.
+func TestNextIsKeyFollowsSinceKey(t *testing.T) {
+	adaptive := DefaultAdaptiveConfig() // MaxWindow 6
+	cases := []struct {
+		name             string
+		pw               int
+		adaptive         *AdaptiveConfig
+		frameIdx, since  int
+		needKey, noState bool
+		newPW            int // SetConfig to this PW after SetState (0 = keep)
+		want             bool
+	}{
+		{name: "no state", pw: 4, noState: true, want: true},
+		{name: "index on the grid, window not due", pw: 4, frameIdx: 8, since: 2},
+		{name: "index off the grid, window due", pw: 4, frameIdx: 6, since: 4, want: true},
+		{name: "window overdue", pw: 3, frameIdx: 7, since: 5, want: true},
+		{name: "key frame just committed", pw: 1, frameIdx: 5, since: 1, want: true},
+		{name: "adaptive trigger pending", pw: 4, frameIdx: 2, since: 1, needKey: true, want: true},
+		{name: "window shrunk mid-stream", pw: 4, frameIdx: 3, since: 2, newPW: 2, want: true},
+		{name: "window stretched mid-stream", pw: 2, frameIdx: 2, since: 2, newPW: 4},
+		{name: "stretched window due", pw: 2, frameIdx: 5, since: 4, newPW: 4, want: true},
+		{name: "adaptive window ignores PW", pw: 2, adaptive: &adaptive, frameIdx: 4, since: 4},
+		{name: "adaptive window due", pw: 2, adaptive: &adaptive, frameIdx: 9, since: 6, want: true},
+	}
+	im := func() *imgproc.Image { return imgproc.NewImage(8, 8) }
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.PW = tc.pw
+			cfg.Adaptive = tc.adaptive
+			p := New(nil, cfg)
+			st := State{FrameIdx: tc.frameIdx, SinceKey: tc.since, NeedKey: tc.needKey}
+			if !tc.noState {
+				st.PrevLeft, st.PrevRight, st.PrevDisp = im(), im(), im()
+			}
+			if err := p.SetState(st); err != nil {
+				t.Fatal(err)
+			}
+			if tc.newPW != 0 {
+				cfg.PW = tc.newPW
+				p.SetConfig(cfg)
+			}
+			if got := p.NextIsKey(); got != tc.want {
+				t.Fatalf("NextIsKey = %v, want %v (frame %d, since-key %d)", got, tc.want, tc.frameIdx, tc.since)
+			}
+			if got := p.Config().KeyDue(tc.since); got != (tc.want && !tc.noState && !tc.needKey) {
+				t.Fatalf("KeyDue(%d) = %v disagrees with the window", tc.since, got)
+			}
+			if p.FrameIndex() != tc.frameIdx {
+				t.Fatalf("FrameIndex = %d, want %d", p.FrameIndex(), tc.frameIdx)
+			}
+		})
+	}
+}
+
 func TestProcessNonKeyBeforeKeyPanics(t *testing.T) {
 	p := New(nil, DefaultConfig())
 	defer func() {

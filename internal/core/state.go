@@ -13,12 +13,11 @@ import (
 // with bit-identical results (the kernels are deterministic functions of
 // the previous frame pair, the previous disparity and the frame counters).
 type State struct {
-	// FrameIdx is the number of frames processed since the last Reset; the
-	// static PW schedule keys off it.
+	// FrameIdx is the number of frames processed since the last Reset, a
+	// counter only: the key-frame schedule does not read it.
 	FrameIdx int
 	// SinceKey counts frames since the last key frame (1 = the key frame
-	// itself was the previous frame); the adaptive controller's MaxWindow
-	// bound keys off it.
+	// itself was the previous frame); the key-frame schedule keys off it.
 	SinceKey int
 	// NeedKey is the adaptive controller's pending re-key trigger.
 	NeedKey bool

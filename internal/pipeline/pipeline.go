@@ -1,9 +1,15 @@
-// Package pipeline is the concurrent streaming runtime for ISM: it runs the
-// per-frame stages of core.Pipeline — optical flow on the left and right
-// video streams, key-frame matching, correspondence propagation and guided
-// refinement — as a bounded-channel pipeline, so frame t+1's flow estimation
-// overlaps frame t's refinement and key-frame matching runs ahead of the
-// stream instead of stalling it.
+// Package pipeline is ISM's frame executor. ProcessFrame runs one frame in
+// two halves: a precompute half (the key-frame match, or optical flow on
+// the left and right video streams in parallel) and a commit half
+// (correspondence propagation and guided refinement, or the key commit).
+// Stream runs the same two halves as a bounded-channel pipeline, so frame
+// t+1's flow estimation overlaps frame t's refinement and key-frame
+// matching runs ahead of the stream instead of stalling it.
+//
+// Both paths record the same stages: "keymatch" or "flow" for the
+// precompute half, "propagate+refine" for a non-key commit, and "frame" for
+// the frame's own compute time, precompute plus commit. In Stream, "frame"
+// excludes the time a precomputed frame waits for the committer.
 //
 // The decomposition exploits ISM's dependency structure (paper Sec. 3):
 //
@@ -27,7 +33,6 @@ import (
 	"time"
 
 	"asv/internal/core"
-	"asv/internal/flow"
 	"asv/internal/imgproc"
 	"asv/internal/metrics"
 	"asv/internal/par"
@@ -58,7 +63,8 @@ type Options struct {
 	Depth int
 	// Metrics, when non-nil, receives per-stage frame counters and latency
 	// histograms under the stage names "flow", "keymatch",
-	// "propagate+refine" and "frame".
+	// "propagate+refine" and "frame" (the frame's compute time, precompute
+	// plus commit, as in ProcessFrame).
 	Metrics *metrics.Registry
 }
 
@@ -81,15 +87,12 @@ type job struct {
 	prevLeft, prevRight *imgproc.Image
 }
 
-// done is a frame whose precompute stage has finished, waiting for in-order
+// done is a frame whose precompute half has finished, waiting for in-order
 // commit.
 type done struct {
 	idx         int
-	key         bool
 	left, right *imgproc.Image
-	disp        *imgproc.Image // key frames: precomputed disparity
-	macs        int64          // key frames: matcher cost
-	fl, fr      flow.Field     // non-key frames: precomputed flows
+	pre         precomputed
 }
 
 // Stream processes the stereo stream read from frames through a concurrent
@@ -120,17 +123,20 @@ func Stream(matcher core.KeyMatcher, cfg core.Config, frames <-chan Frame, opt O
 	dones := make(chan done, opt.Depth)
 
 	// Dispatcher: assign indices, pair each frame with its predecessor and
-	// mark key frames by the static PW schedule.
+	// mark key frames by core's key-frame rule, applied to the frames
+	// since the last key (no adaptive trigger can fire on this path).
 	go func() {
 		defer close(jobs)
-		idx := 0
+		idx, sinceKey := 0, 0
 		var prev Frame
 		for fr := range frames {
 			j := job{idx: idx, left: fr.Left, right: fr.Right}
-			if idx%cfg.PW == 0 {
+			if prev.Left == nil || cfg.KeyDue(sinceKey) {
 				j.key = true
+				sinceKey = 1
 			} else {
 				j.prevLeft, j.prevRight = prev.Left, prev.Right
+				sinceKey++
 			}
 			prev = fr
 			idx++
@@ -138,8 +144,8 @@ func Stream(matcher core.KeyMatcher, cfg core.Config, frames <-chan Frame, opt O
 		}
 	}()
 
-	// Precompute workers: key-frame matching, or left+right flow (the two
-	// streams in parallel — they are independent by construction).
+	// Precompute workers: ProcessFrame's precompute half, ahead of the
+	// committer.
 	var wg sync.WaitGroup
 	me := cfg.MotionSource()
 	for w := 0; w < opt.Workers; w++ {
@@ -147,24 +153,8 @@ func Stream(matcher core.KeyMatcher, cfg core.Config, frames <-chan Frame, opt O
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				d := done{idx: j.idx, key: j.key, left: j.left, right: j.right}
-				t0 := time.Now()
-				if j.key {
-					d.disp = matcher.Match(j.left, j.right)
-					d.macs = matcher.MACs(j.left.W, j.left.H)
-					observe(opt.Metrics, "keymatch", time.Since(t0))
-				} else {
-					var inner sync.WaitGroup
-					inner.Add(1)
-					go func() {
-						defer inner.Done()
-						d.fr = me.Estimate(j.prevRight, j.right)
-					}()
-					d.fl = me.Estimate(j.prevLeft, j.left)
-					inner.Wait()
-					observe(opt.Metrics, "flow", time.Since(t0))
-				}
-				dones <- d
+				pre := precompute(matcher, me, j.key, j.prevLeft, j.prevRight, j.left, j.right, opt.Metrics)
+				dones <- done{idx: j.idx, left: j.left, right: j.right, pre: pre}
 			}
 		}()
 	}
@@ -187,15 +177,7 @@ func Stream(matcher core.KeyMatcher, cfg core.Config, frames <-chan Frame, opt O
 					break
 				}
 				delete(pending, next)
-				t0 := time.Now()
-				var res core.Result
-				if d.key {
-					res = p.ProcessKey(d.left, d.right, d.disp, d.macs)
-				} else {
-					res = p.ProcessNonKeyWith(d.left, d.right, d.fl, d.fr)
-					observe(opt.Metrics, "propagate+refine", time.Since(t0))
-				}
-				observe(opt.Metrics, "frame", time.Since(t0))
+				res := commit(p, d.left, d.right, d.pre, opt.Metrics)
 				out <- Result{Index: next, Result: res}
 				next++
 			}

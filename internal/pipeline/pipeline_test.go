@@ -146,6 +146,34 @@ func TestStreamMetricsStages(t *testing.T) {
 	if got := reg.Stage("propagate+refine").Count(); got != 6 {
 		t.Fatalf("propagate+refine count = %d, want 6", got)
 	}
+	assertFrameCoversStages(t, reg)
+}
+
+// assertFrameCoversStages checks that "frame" is each frame's compute time,
+// precompute plus commit: its total covers the keymatch, flow and
+// propagate+refine totals.
+func assertFrameCoversStages(t *testing.T, reg *metrics.Registry) {
+	t.Helper()
+	parts := reg.Stage("keymatch").Total() + reg.Stage("flow").Total() + reg.Stage("propagate+refine").Total()
+	if frame := reg.Stage("frame").Total(); frame < parts {
+		t.Fatalf("frame total %v < keymatch+flow+propagate+refine %v", frame, parts)
+	}
+}
+
+// ProcessFrame records the same stages as Stream, with the same meaning.
+func TestProcessFrameMetricsStages(t *testing.T) {
+	frames := testSequence(t, 6) // PW=3 -> keys at 0,3
+	reg := metrics.NewRegistry()
+	p := core.New(testMatcher(), testConfig())
+	for _, fr := range frames {
+		ProcessFrame(p, testMatcher(), fr.Left, fr.Right, reg)
+	}
+	for stage, want := range map[string]int64{"frame": 6, "keymatch": 2, "flow": 4, "propagate+refine": 4} {
+		if got := reg.Stage(stage).Count(); got != want {
+			t.Fatalf("%s count = %d, want %d", stage, got, want)
+		}
+	}
+	assertFrameCoversStages(t, reg)
 }
 
 func TestStreamResultsArriveInOrder(t *testing.T) {

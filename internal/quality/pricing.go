@@ -98,7 +98,7 @@ func Price(l Ladder, top core.KeyMatcher, pc PriceConfig) (Pricing, error) {
 		pr := PricedRung{Rung: r}
 		keys := 0
 		for _, fr := range seq.Frames {
-			res := Step(pipe, r, pc.PW, matcher, fr.Left, fr.Right, nil)
+			res := Step(pipe, r, matcher, fr.Left, fr.Right, nil)
 			pr.Bad1 += stereo.ErrorRate(res.Disparity, fr.GT, 1.0)
 			pr.Bad3 += stereo.ErrorRate(res.Disparity, fr.GT, 3.0)
 			pr.MMACs += float64(res.MACs) / 1e6

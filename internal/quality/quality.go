@@ -14,11 +14,12 @@
 //   - pyramid level: match at 1/2^L resolution via the existing pyramid
 //     code and upsample the disparity back (values scale by 2^L).
 //
-// The top rung (index 0) is special: it applies no degradation at all, so a
-// session pinned there is bit-identical to the pre-ladder serving path. The
-// serving layer picks rungs at runtime (see Controller); the offline pricer
-// (see Price) scores every rung against the dataset oracle into the
-// committed quality_ladder.json.
+// The top rung (index 0) is special: it applies no degradation at all, so
+// Step at the top rung is exactly pipeline.ProcessFrame. The serving layer
+// runs every frame through Step, gold sessions pinned at the top rung and
+// best-effort ones at the rung the Controller picks; the offline pricer (see
+// Price) scores every rung against the dataset oracle into the committed
+// quality_ladder.json.
 //
 // See DESIGN.md §12 "Operating-point ladder".
 package quality
@@ -78,7 +79,7 @@ type OperatingPoint struct {
 	// Fixed selects the fixed-point kernels for a built matcher.
 	Fixed bool `json:"fixed,omitempty"`
 	// PWStretch multiplies the session's propagation window (1 = no
-	// stretch): key frames every basePW*PWStretch frames.
+	// stretch): key frames every PW*PWStretch frames.
 	PWStretch int `json:"pw_stretch"`
 	// PyrLevel matches at 1/2^PyrLevel resolution and upsamples the
 	// disparity back to full size (0 = full resolution).
@@ -172,60 +173,34 @@ func scaledMaxDisp(maxDisp, level int) int {
 	return d
 }
 
-// EffectivePW is the rung's stretched propagation window over a session's
-// base window.
-func (r Rung) EffectivePW(basePW int) int {
-	eff := basePW * r.OP.PWStretch
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
-}
-
-// NextIsKey decides the key schedule for a stream operating at rung r: a
-// key frame when the pipeline has no committed state yet (first frame, or
-// just after a pyramid-level Reset) or once the frames since the last key
-// reach the stretched window. For PWStretch 1 this is provably the same
-// schedule as core's static frameIdx%PW rule (a key commit sets sinceKey to
-// 1 and every frame increments it), but unlike the frame-index rule it
-// stays coherent when the stretch changes mid-stream.
-func NextIsKey(p *core.Pipeline, r Rung, basePW int) bool {
-	if left, _ := p.PrevFrames(); left == nil {
-		return true
-	}
-	return p.SinceKey() >= r.EffectivePW(basePW)
-}
-
-// Step advances one frame of a stream operating at rung r: downsample the
-// pair to the rung's pyramid level, run the key or propagated ISM step
-// through the shared pipeline entry point (same kernels, same stage
-// metrics), and upsample the disparity back to the input geometry with
-// values scaled by 2^level. matcher must be r.BuildMatcher's result for a
-// consistent stream.
+// Step advances one frame of a stream operating at rung r. A rung is a
+// per-frame configuration override: this frame runs with the window
+// stretched to PW*PWStretch and, on a fixed-point rung, the fixed-point
+// refine kernels; the base configuration is restored afterwards, so state
+// observed between frames (snapshots) stays at the session's configured
+// fidelity. Under the motion-adaptive controller the window is
+// Adaptive.MaxWindow, which the stretch leaves alone. The pair is
+// downsampled to the rung's pyramid level, run through
+// pipeline.ProcessFrame, and its disparity upsampled back to the input
+// geometry with values scaled by 2^level. matcher must be r.BuildMatcher's
+// result for a consistent stream. At the top rung Step is ProcessFrame.
 //
 // The caller owns level transitions: the flow kernels require consecutive
 // frames to agree in size, so the pipeline must be Reset when the rung's
 // pyramid level differs from the previous frame's (the next Step then
 // recovers with a key frame at the new resolution).
-func Step(p *core.Pipeline, r Rung, basePW int, matcher core.KeyMatcher, left, right *imgproc.Image, m *metrics.Registry) core.Result {
-	// A fixed-point rung flips the guided-refine kernels too, not just the
-	// key matcher; the pipeline's own configuration is restored before
-	// returning so state observed between frames (snapshots) stays at the
-	// session's configured fidelity.
-	if r.OP.Fixed {
-		if cfg := p.Config(); !cfg.BM.Fixed {
-			cfg.BM.Fixed = true
-			p.SetConfig(cfg)
-			defer func() {
-				cfg.BM.Fixed = false
-				p.SetConfig(cfg)
-			}()
-		}
+func Step(p *core.Pipeline, r Rung, matcher core.KeyMatcher, left, right *imgproc.Image, m *metrics.Registry) core.Result {
+	if base := p.Config(); r.OP.PWStretch != 1 || (r.OP.Fixed && !base.BM.Fixed) {
+		cfg := base
+		cfg.PW *= r.OP.PWStretch
+		cfg.BM.Fixed = cfg.BM.Fixed || r.OP.Fixed
+		p.SetConfig(cfg)
+		defer p.SetConfig(base)
 	}
 	fullW, fullH := left.W, left.H
 	level := r.OP.PyrLevel
 	l, rt := DownsampleInput(left, level), DownsampleInput(right, level)
-	res := pipeline.ProcessFrameAs(p, matcher, l, rt, NextIsKey(p, r, basePW), m)
+	res := pipeline.ProcessFrame(p, matcher, l, rt, m)
 	if level > 0 {
 		res.Disparity = UpsampleDisparity(res.Disparity, fullW, fullH, level)
 	}

@@ -132,7 +132,7 @@ func TestTopRungBitIdentical(t *testing.T) {
 	top := DefaultLadder()[0]
 	for i, fr := range seq.Frames {
 		rr := pipeline.ProcessFrame(ref, matcher, fr.Left, fr.Right, nil)
-		gr := Step(got, top, cfg.PW, matcher, fr.Left, fr.Right, nil)
+		gr := Step(got, top, matcher, fr.Left, fr.Right, nil)
 		if rr.IsKey != gr.IsKey {
 			t.Fatalf("frame %d: key schedule diverged (ref %v, ladder %v)", i, rr.IsKey, gr.IsKey)
 		}
@@ -147,7 +147,7 @@ func TestTopRungBitIdentical(t *testing.T) {
 	}
 }
 
-// A stretched rung must run key frames exactly every basePW*stretch frames.
+// A stretched rung must run key frames exactly every PW*stretch frames.
 func TestStretchedKeySchedule(t *testing.T) {
 	seq := dataset.Generate(dataset.SceneFlowLike(48, 32, 9, 3)[0])
 	matcher := core.BMMatcher{Opt: stereo.DefaultBMOptions()}
@@ -156,7 +156,7 @@ func TestStretchedKeySchedule(t *testing.T) {
 	pipe := core.New(nil, cfg)
 	r := Rung{Name: "s2", OP: OperatingPoint{Matcher: "bm", PWStretch: 2}}
 	for i, fr := range seq.Frames {
-		res := Step(pipe, r, cfg.PW, matcher, fr.Left, fr.Right, nil)
+		res := Step(pipe, r, matcher, fr.Left, fr.Right, nil)
 		if want := i%4 == 0; res.IsKey != want {
 			t.Fatalf("frame %d: IsKey=%v, want %v (PW 2, stretch 2)", i, res.IsKey, want)
 		}
@@ -175,7 +175,7 @@ func TestPyramidRungGeometry(t *testing.T) {
 	r := Rung{Name: "q", OP: OperatingPoint{Matcher: "bm", Fixed: true, PWStretch: 1, PyrLevel: 1}}
 	matcher := r.BuildMatcher(top)
 	for i, fr := range seq.Frames {
-		res := Step(pipe, r, cfg.PW, matcher, fr.Left, fr.Right, nil)
+		res := Step(pipe, r, matcher, fr.Left, fr.Right, nil)
 		if res.Disparity.W != 64 || res.Disparity.H != 48 {
 			t.Fatalf("frame %d: disparity %dx%d, want full 64x48", i, res.Disparity.W, res.Disparity.H)
 		}
@@ -185,7 +185,7 @@ func TestPyramidRungGeometry(t *testing.T) {
 	}
 	// Level transition: the caller resets, the next Step must key-frame.
 	pipe.Reset()
-	res := Step(pipe, DefaultLadder()[0], cfg.PW, top, seq.Frames[0].Left, seq.Frames[0].Right, nil)
+	res := Step(pipe, DefaultLadder()[0], top, seq.Frames[0].Left, seq.Frames[0].Right, nil)
 	if !res.IsKey {
 		t.Error("first frame after Reset was not a key frame")
 	}

@@ -7,7 +7,6 @@ import (
 
 	"asv/internal/core"
 	"asv/internal/imgproc"
-	"asv/internal/pipeline"
 	"asv/internal/quality"
 	"asv/internal/stereo"
 )
@@ -200,9 +199,8 @@ func (b *batcher) flush(ready *[]*session, pending map[*session][]*workItem, bus
 
 // worker executes dispatched frames. Each frame runs the full ISM step for
 // its session — key-frame matching or concurrent L/R flow + propagation +
-// refinement — via the shared pipeline.ProcessFrame, so the serving path
-// and the batch streaming runtime are the same code observing the same
-// metric stages.
+// refinement — via quality.Step and so pipeline.ProcessFrame, the executor
+// the batch streaming runtime shares, observing the same metric stages.
 func (b *batcher) worker() {
 	defer b.finished.Done()
 	for it := range b.work {
@@ -279,12 +277,12 @@ func (b *batcher) runFrame(it *workItem, rep *frameReply) (checkpoint []byte) {
 		rep.left = left
 	}
 
-	// Rung choice (DESIGN.md §12). Gold sessions run the unchanged rung-0
-	// path — pipeline.ProcessFrame with the server's matcher, bit-identical
-	// to the pre-ladder server. Best-effort sessions ask the controller for
-	// the cheapest rung predicted to meet their deadline at the current
-	// queue depth and run it through quality.Step (the same executor the
-	// offline pricer scores, so quality_ladder.json prices what is served).
+	// Rung choice (DESIGN.md §12). Gold sessions are pinned at rung 0, the
+	// server's matcher with no degradation. Best-effort sessions ask the
+	// controller for the cheapest rung predicted to meet their deadline at
+	// the current queue depth. Both run through quality.Step, the executor
+	// the offline pricer scores, so quality_ladder.json prices what is
+	// served.
 	rung := 0
 	if it.sess.slo == quality.BestEffort {
 		queued := int(b.s.inflight.Load()) - 1 // frames waiting behind this one
@@ -300,12 +298,7 @@ func (b *batcher) runFrame(it *workItem, rep *frameReply) (checkpoint []byte) {
 	}
 
 	t0 := time.Now()
-	var res core.Result
-	if it.sess.slo == quality.Gold {
-		res = pipeline.ProcessFrame(it.sess.pipe, b.s.matcher, left, right, b.s.cfg.Metrics)
-	} else {
-		res = quality.Step(it.sess.pipe, r, it.sess.pw, b.s.rungMatchers[rung], left, right, b.s.cfg.Metrics)
-	}
+	res := quality.Step(it.sess.pipe, r, b.s.rungMatchers[rung], left, right, b.s.cfg.Metrics)
 	rep.compute = time.Since(t0)
 	rep.res = res
 	rep.rung = rung

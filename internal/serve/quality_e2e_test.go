@@ -228,7 +228,7 @@ func TestDegradedSessionSnapshotDropsState(t *testing.T) {
 	seq := presetSeq(t, 48, 32, 3)
 	rung := quality.Rung{Name: "half", OP: quality.OperatingPoint{Matcher: "bm", PWStretch: 1, PyrLevel: 1}}
 	for _, fr := range seq {
-		quality.Step(sess.pipe, rung, sess.pw, rung.BuildMatcher(quickMatcher(0)), fr.left, fr.right, nil)
+		quality.Step(sess.pipe, rung, rung.BuildMatcher(quickMatcher(0)), fr.left, fr.right, nil)
 	}
 	sess.level = 1
 	sess.w, sess.h = 48, 32

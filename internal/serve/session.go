@@ -24,7 +24,7 @@ import (
 // session, so the core.Pipeline inside needs no lock of its own.
 type session struct {
 	id      string
-	pw      int // 0 when the schedule is adaptive
+	pw      int // base propagation window in [1,64]; pipe.Config().PW between frames
 	pipe    *core.Pipeline
 	created time.Time
 

@@ -1,8 +1,6 @@
 package asv
 
 import (
-	"io"
-
 	"asv/internal/perception"
 	"asv/internal/stereo"
 )
@@ -18,15 +16,6 @@ type Calibration = perception.Calibration
 // PointCloud is a reprojected disparity map: one point per valid pixel in
 // the left camera frame, plus the source grid dimensions.
 type PointCloud = perception.Cloud
-
-// CloudPoint is one reprojected pixel: metric XYZ plus left-image intensity.
-type CloudPoint = perception.Point
-
-// CloudStats summarizes a cloud's validity fraction and depth distribution.
-type CloudStats = perception.CloudStats
-
-// MinValidDisparity is the smallest disparity that triangulates to a point.
-const MinValidDisparity = perception.MinValidDisp
 
 // DefaultCalibration returns DefaultIntrinsics plus a 0.12 m baseline and
 // zero misalignment (an already-rectified rig).
@@ -46,21 +35,6 @@ func DepthFromDisparity(disp *Image, c *Calibration) *Image {
 func ReprojectCloud(disp, intensity *Image, c *Calibration) *PointCloud {
 	return perception.Reproject(disp, intensity, c)
 }
-
-// EncodePointCloud serializes a cloud in the versioned ASVPCD binary format.
-func EncodePointCloud(c *PointCloud) []byte { return perception.EncodeCloud(c) }
-
-// DecodePointCloud parses an ASVPCD document; maxPoints caps allocation
-// (0 = default limit).
-func DecodePointCloud(data []byte, maxPoints int) (*PointCloud, error) {
-	return perception.DecodeCloud(data, maxPoints)
-}
-
-// WritePLYASCII writes a cloud as ASCII PLY (x y z intensity per vertex).
-func WritePLYASCII(w io.Writer, c *PointCloud) error { return perception.WritePLYASCII(w, c) }
-
-// WritePLYBinary writes a cloud as binary-little-endian PLY.
-func WritePLYBinary(w io.Writer, c *PointCloud) error { return perception.WritePLYBinary(w, c) }
 
 // DisparityErrorRate is the percentage of ground-truth-valid pixels whose
 // disparity error exceeds threshold px (bad-N in MiddEval3 terms).

@@ -9,17 +9,8 @@ import (
 // into ordered operating points, priced offline into quality_ladder.json
 // and served through overload by the ladder controller. See DESIGN.md §12.
 
-// QualityOperatingPoint is one point in the accuracy/compute space.
-type QualityOperatingPoint = quality.OperatingPoint
-
-// QualityRung is a named operating point in a ladder.
-type QualityRung = quality.Rung
-
 // QualityLadder is an ordered list of rungs, most accurate first.
 type QualityLadder = quality.Ladder
-
-// QualityController is the EWMA latency model that picks serving rungs.
-type QualityController = quality.Controller
 
 // LadderPricing is the quality_ladder.json document: every rung scored in
 // bad-pixel rates and MMACs per frame against the dataset oracle.
@@ -38,6 +29,3 @@ func DefaultQualityLadder() QualityLadder { return quality.DefaultLadder() }
 func PriceQualityLadder(l QualityLadder, top KeyMatcher, pc LadderPriceConfig) (LadderPricing, error) {
 	return quality.Price(l, top, pc)
 }
-
-// NewQualityController builds a controller over a ladder of n rungs.
-func NewQualityController(n int) *QualityController { return quality.NewController(n) }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"asv/internal/cluster"
 	"asv/internal/metrics"
 	"asv/internal/serve"
 )
@@ -426,7 +427,7 @@ func runShardPhase(bc ServeBenchConfig, n int) (ServeLoadReport, error) {
 // exactly evenly over the named shards (count must be divisible by the shard
 // count; the caller's withDefaults arranges that for 1 and 2 shards).
 func balancedSessionIDs(shardNames []string, count int) []string {
-	ring := NewClusterRing(shardNames, 0)
+	ring := cluster.NewRing(shardNames, 0)
 	per := count / len(shardNames)
 	taken := make(map[string]int, len(shardNames))
 	ids := make([]string, 0, count)

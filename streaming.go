@@ -31,15 +31,9 @@ type Metrics = metrics.Registry
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return metrics.NewRegistry() }
 
-// StreamDepth runs the concurrent ISM pipeline over the frame channel and
-// returns the channel of in-order results, bit-identical to calling
-// Pipeline.Process frame by frame.
-func StreamDepth(matcher KeyMatcher, cfg PipelineConfig, frames <-chan StreamFrame, opt StreamOptions) <-chan StreamResult {
-	return pipeline.Stream(matcher, cfg, frames, opt)
-}
-
-// StreamDepthFrames is the batch form of StreamDepth for pre-materialized
-// sequences.
+// StreamDepthFrames runs the concurrent ISM pipeline over a
+// pre-materialized frame sequence and returns the in-order results,
+// bit-identical to calling Pipeline.Process frame by frame.
 func StreamDepthFrames(matcher KeyMatcher, cfg PipelineConfig, frames []StreamFrame, opt StreamOptions) []StreamResult {
 	return pipeline.StreamFrames(matcher, cfg, frames, opt)
 }
