@@ -25,7 +25,7 @@ FUZZ_TARGETS := \
 # Minimum total test coverage (percent) enforced by `make cover` and CI.
 COVER_THRESHOLD := 80
 
-.PHONY: build test race perfbench-test bench bench-json serve-bench-json kernels-json kernels-gate eval-json ladder-json perfbench serve-smoke cluster-smoke perception-smoke degrade-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
+.PHONY: build test test-workers race perfbench-test bench bench-json serve-bench-json kernels-json kernels-gate eval-json ladder-json perfbench serve-smoke cluster-smoke perception-smoke degrade-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
 
 build:
 	go build ./...
@@ -36,6 +36,16 @@ build:
 # testing.Short(); use `go test -short ./...` locally for a quick loop.
 test:
 	go test ./...
+
+# The par-split kernels and the concurrent SGM sweeps must give the same
+# output at any worker count, but `go test` runs them only at the host's
+# GOMAXPROCS; rerun the bit-identity suites serial and at an odd count.
+WORKER_TESTS := 'Golden|Fixed|Naive|SGM|Pipeline|Stream'
+WORKER_PKGS := . ./internal/stereo ./internal/pipeline
+
+test-workers:
+	ASV_WORKERS=1 go test -run $(WORKER_TESTS) $(WORKER_PKGS)
+	ASV_WORKERS=3 go test -run $(WORKER_TESTS) $(WORKER_PKGS)
 
 race:
 	go test -race $(RACE_PKGS)
@@ -157,4 +167,4 @@ cover:
 	if [ "$$ok" != 1 ]; then \
 		echo "coverage $$total% is below the $(COVER_THRESHOLD)% floor" >&2; exit 1; fi
 
-check: build vet lint perf-gate fmt-check test race perfbench-test bench fuzz-smoke serve-smoke cluster-smoke perception-smoke degrade-smoke cover kernels-gate
+check: build vet lint perf-gate fmt-check test test-workers race perfbench-test bench fuzz-smoke serve-smoke cluster-smoke perception-smoke degrade-smoke cover kernels-gate

@@ -275,7 +275,8 @@ func TestCensusFixedMatchesFloatBitExactly(t *testing.T) {
 }
 
 // naiveAggregateFixed reuses the float path's per-direction full-volume
-// recurrence, in integers, to check the two-pass rolling-row aggregation.
+// recurrence, in saturating integers, to check the two-pass rolling-row
+// aggregation. It sums the directions one after another, in sgmDirs order.
 func naiveAggregateFixed(cost []uint8, w, h, nd, paths int, p1, p2 uint16) []uint16 {
 	sum := make([]uint16, w*h*nd)
 	for i := 0; i < paths; i++ {
@@ -316,13 +317,13 @@ func naiveAggregateFixed(cost []uint8, w, h, nd, paths int, p1, p2 uint16) []uin
 				for d := 0; d < nd; d++ {
 					best := lr[pbase+d]
 					if d > 0 {
-						best = min(best, lr[pbase+d-1]+p1)
+						best = min(best, satAdd16(lr[pbase+d-1], p1))
 					}
 					if d+1 < nd {
-						best = min(best, lr[pbase+d+1]+p1)
+						best = min(best, satAdd16(lr[pbase+d+1], p1))
 					}
-					best = min(best, minPrev+p2)
-					lr[base+d] = uint16(cost[base+d]) + best - minPrev
+					best = min(best, satAdd16(minPrev, p2))
+					lr[base+d] = satAdd16(uint16(cost[base+d]), best-minPrev)
 				}
 			}
 		}
@@ -335,17 +336,65 @@ func naiveAggregateFixed(cost []uint8, w, h, nd, paths int, p1, p2 uint16) []uin
 
 func TestAggregateFixedAgainstNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	w, h, nd := 23, 17, 12
-	cost := make([]uint8, w*h*nd)
-	for i := range cost {
-		cost[i] = uint8(rng.Intn(25))
+	randCost := func(w, h, nd int) []uint8 {
+		cost := make([]uint8, w*h*nd)
+		for i := range cost {
+			cost[i] = uint8(rng.Intn(25))
+		}
+		return cost
 	}
-	for _, paths := range []int{4, 8} {
-		got := aggregateFixed(cost, w, h, nd, paths, 1, 7)
-		want := naiveAggregateFixed(cost, w, h, nd, paths, 1, 7)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("paths=%d: cell %d: got %d want %d", paths, i, got[i], want[i])
+	// Saturating volume: d = 0 is near 0 and every other disparity near
+	// the uint8 maximum, so with neither penalty ever paying off the path
+	// costs of d > 0 climb ~250 per step and the eight-path sum of a
+	// 72×72 frame clamps at 65535 away from the borders.
+	const sw, sh, snd = 72, 72, 3
+	satCost := make([]uint8, sw*sh*snd)
+	for i := range satCost {
+		if i%snd == 0 {
+			satCost[i] = uint8(rng.Intn(8))
+		} else {
+			satCost[i] = uint8(255 - rng.Intn(8))
+		}
+	}
+	cases := []struct {
+		name      string
+		w, h, nd  int
+		p1, p2    uint16
+		cost      []uint8
+		saturates bool
+	}{
+		{"23x17", 23, 17, 12, 1, 7, randCost(23, 17, 12), false},
+		{"w=1", 1, 9, 6, 1, 7, randCost(1, 9, 6), false},
+		{"h=1", 9, 1, 6, 1, 7, randCost(9, 1, 6), false},
+		{"h=2", 9, 2, 6, 1, 7, randCost(9, 2, 6), false}, // the sweeps cross on every row
+		{"nd=1", 11, 7, 1, 1, 7, randCost(11, 7, 1), false},
+		{"nd=2", 11, 7, 2, 1, 7, randCost(11, 7, 2), false},
+		{"odd", 13, 11, 7, 2, 9, randCost(13, 11, 7), false},
+		{"saturating", sw, sh, snd, 65535, 65535, satCost, true},
+	}
+	// One worker runs the forward sweep, then the backward one; two run
+	// them concurrently into the shared row-locked volume.
+	for _, workers := range []string{"1", "2"} {
+		t.Setenv("ASV_WORKERS", workers)
+		for _, tc := range cases {
+			for _, paths := range []int{4, 8} {
+				got := aggregateFixed(tc.cost, tc.w, tc.h, tc.nd, paths, tc.p1, tc.p2)
+				want := naiveAggregateFixed(tc.cost, tc.w, tc.h, tc.nd, paths, tc.p1, tc.p2)
+				clamped := 0
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s workers=%s paths=%d: cell %d: got %d want %d",
+							tc.name, workers, paths, i, got[i], want[i])
+					}
+					if want[i] == 65535 {
+						clamped++
+					}
+				}
+				// The saturating case must clamp some cells and not all,
+				// so the order of the saturating adds is really exercised.
+				if tc.saturates && paths == 8 && (clamped == 0 || clamped == len(want)) {
+					t.Fatalf("%s: %d of %d cells clamped, want some but not all", tc.name, clamped, len(want))
+				}
 			}
 		}
 	}

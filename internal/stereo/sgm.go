@@ -31,13 +31,14 @@ func DefaultSGMOptions() SGMOptions {
 
 // census computes the census transform of im with the given radius: each
 // pixel becomes a bit-string recording which neighbours are darker than the
-// centre. Radius must be <= 3 so the descriptor fits 64 bits.
+// centre. Radius must be <= 3 so the descriptor fits 64 bits. Rows run in
+// parallel: each descriptor reads only im.
 func census(im *imgproc.Image, r int) []uint64 {
 	if r < 1 || (2*r+1)*(2*r+1)-1 > 64 {
 		panic(fmt.Sprintf("stereo: census radius %d out of range", r))
 	}
 	out := make([]uint64, im.W*im.H)
-	for y := 0; y < im.H; y++ {
+	par.For(im.H, func(y int) {
 		for x := 0; x < im.W; x++ {
 			c := im.At(x, y)
 			var desc uint64
@@ -54,7 +55,7 @@ func census(im *imgproc.Image, r int) []uint64 {
 			}
 			out[y*im.W+x] = desc
 		}
-	}
+	})
 	return out
 }
 
