@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"sync"
@@ -72,7 +73,7 @@ func TestRunJSONModuleClean(t *testing.T) {
 }
 
 // TestRunModuleClean is the end-to-end path `make lint` exercises: load the
-// whole module and require zero findings. Module-wide type-checking through
+// whole module (every package, not a subset) and require zero findings. Module-wide type-checking through
 // the source importer takes a few seconds, so -short skips it.
 func TestRunModuleClean(t *testing.T) {
 	if testing.Short() {
@@ -91,7 +92,11 @@ func TestRunModuleClean(t *testing.T) {
 	if code := run([]string{"./..."}, &out, &errb); code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
-	if !strings.Contains(out.String(), "packages clean") {
+	var pkgs int
+	if _, err := fmt.Sscanf(out.String(), "asvlint: %d packages clean", &pkgs); err != nil {
 		t.Fatalf("stdout = %q, want clean summary", out.String())
+	}
+	if pkgs < 20 {
+		t.Fatalf("expected to load the whole module, got %d packages", pkgs)
 	}
 }

@@ -3,7 +3,7 @@ package quality
 import "sync"
 
 // Controller is the serving layer's rung picker: a per-rung EWMA latency
-// predictor plus the deadline test. The batcher feeds it every completed
+// predictor plus the deadline test. The serving workers feed it every completed
 // frame's compute time (Observe) and asks, per best-effort frame, for the
 // most accurate rung whose predicted latency still meets the session's
 // deadline under the current queue depth (Pick).

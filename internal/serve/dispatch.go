@@ -18,7 +18,6 @@ type workItem struct {
 	sess        *session
 	left, right *imgproc.Image
 	enqueued    time.Time
-	started     time.Time
 	reply       chan frameReply
 	// wantLeft asks the worker to capture the (rectified) left view in the
 	// reply; cloud responses use it as the points' intensity channel.
@@ -31,7 +30,7 @@ type frameReply struct {
 	frame     int // per-session frame index (0-based)
 	rung      int // ladder rung the frame was served at (0 = full fidelity)
 	stats     stereo.DispStats
-	queueWait time.Duration
+	queueWait time.Duration // admission until a worker picked the frame up
 	compute   time.Duration
 	err       error
 	// left is the rectified left view of this frame, captured only when the
@@ -39,87 +38,79 @@ type frameReply struct {
 	left *imgproc.Image
 }
 
-// batcher is the dynamic micro-batcher between the admission queue and the
-// worker pool. It coalesces queued frames across sessions into dispatch
-// rounds of up to BatchSize frames — at most one frame per session per
-// round, which is both the batching policy and the mechanism that keeps
-// each session's ISM state machine strictly single-threaded and in order.
-// A partially filled round is flushed after BatchWait so a lone client
-// never waits for strangers.
+// dispatcher sits between the admission queue and the worker pool. It hands
+// each admitted frame to the first free worker, holding back only frames of
+// a session that already has one in flight: at most one frame per session
+// runs at a time, which keeps each session's ISM state machine strictly
+// single-threaded and in order.
 //
-// All batcher state is confined to the run goroutine; the only shared
-// surfaces are the admit/done channels and the server's atomic counters.
-type batcher struct {
+// All dispatcher state is confined to the run goroutine; the only shared
+// surfaces are the admit/work/done channels and the server's atomic counters.
+type dispatcher struct {
 	s *Server
 
-	admit chan *workItem // bounded admission queue (handlers send, batcher receives)
+	admit chan *workItem // bounded admission queue (handlers send, dispatcher receives)
 	work  chan *workItem // dispatch to workers
-	done  chan *session  // worker → batcher completion notices
-	quit  chan struct{}  // closed by Close after admit is closed
+	done  chan *session  // worker → dispatcher completion notices
 
 	finished sync.WaitGroup // run + workers
 }
 
-func newBatcher(s *Server) *batcher {
-	b := &batcher{
+func newDispatcher(s *Server) *dispatcher {
+	d := &dispatcher{
 		s:     s,
 		admit: make(chan *workItem, s.cfg.QueueDepth),
 		work:  make(chan *workItem),
 		done:  make(chan *session, s.cfg.Workers),
 	}
-	b.finished.Add(1 + s.cfg.Workers)
-	go b.run()
+	d.finished.Add(1 + s.cfg.Workers)
+	go d.run()
 	for w := 0; w < s.cfg.Workers; w++ {
-		go b.worker()
+		go d.worker()
 	}
-	return b
+	return d
 }
 
-// run is the batcher goroutine. Invariants:
-//   - pending[s] holds s's admitted frames in FIFO order;
+// run is the dispatcher goroutine. Invariants:
+//   - pending[s] holds s's admitted, undispatched frames in FIFO order;
 //   - a session is in ready iff it has pending frames and none in flight;
 //   - busy[s] marks an in-flight frame (at most one per session).
-func (b *batcher) run() {
-	defer b.finished.Done()
-	defer close(b.work)
+//
+// One select offers the head of ready to the workers, takes admissions and
+// takes completion notices. Because the dispatch send never excludes the
+// done receive, a worker handing in a completion can always make progress,
+// whatever the worker count. Once admit is closed the loop dispatches the
+// backlog, waits for the last completion and closes work, stopping the
+// workers.
+func (d *dispatcher) run() {
+	defer d.finished.Done()
+	defer close(d.work)
 
 	pending := make(map[*session][]*workItem)
 	busy := make(map[*session]bool)
 	var ready []*session // FIFO across sessions
 
-	var flushTimer *time.Timer
-	var flushC <-chan time.Time
-	stopTimer := func() {
-		if flushTimer != nil {
-			flushTimer.Stop()
-			flushTimer, flushC = nil, nil
+	admit := d.admit
+	for admit != nil || len(pending) > 0 || len(busy) > 0 {
+		var work chan<- *workItem // nil while nothing is ready: never fires
+		var head *workItem
+		if len(ready) > 0 {
+			work, head = d.work, pending[ready[0]][0]
 		}
-	}
-
-	admit := b.admit
-	for {
-		// Flush a round when it is full, or when the wait timer fired
-		// (flushC is nil while nothing is ready).
-		if len(ready) >= b.s.cfg.BatchSize {
-			b.flush(&ready, pending, busy)
-			stopTimer()
-		}
-		if len(ready) > 0 && flushC == nil {
-			flushTimer = time.NewTimer(b.s.cfg.BatchWait)
-			flushC = flushTimer.C
-		}
-
 		select {
+		case work <- head:
+			sess := ready[0]
+			ready = ready[1:]
+			if q := pending[sess]; len(q) == 1 {
+				delete(pending, sess)
+			} else {
+				pending[sess] = q[1:]
+			}
+			busy[sess] = true
+
 		case it, ok := <-admit:
 			if !ok {
-				// Draining: no new work will arrive. Keep dispatching what
-				// is queued until every session runs dry, then stop the
-				// workers by closing b.work (via the deferred close).
-				admit = nil
-				if len(pending) == 0 && len(busy) == 0 {
-					stopTimer()
-					return
-				}
+				admit = nil // draining: no new work will arrive
 				continue
 			}
 			q := pending[it.sess]
@@ -128,70 +119,10 @@ func (b *batcher) run() {
 				ready = append(ready, it.sess)
 			}
 
-		case <-flushC:
-			flushTimer, flushC = nil, nil
-			b.flush(&ready, pending, busy)
-
-		case sess := <-b.done:
+		case sess := <-d.done:
 			delete(busy, sess)
 			if len(pending[sess]) > 0 {
 				ready = append(ready, sess)
-			} else if admit == nil && len(pending) == 0 && len(busy) == 0 && len(ready) == 0 {
-				stopTimer()
-				return
-			}
-		}
-	}
-}
-
-// flush dispatches one round: the head frame of up to BatchSize ready
-// sessions. Rounds with more than one frame are the batching win — their
-// frames run concurrently on the worker pool.
-func (b *batcher) flush(ready *[]*session, pending map[*session][]*workItem, busy map[*session]bool) {
-	n := len(*ready)
-	if n == 0 {
-		return
-	}
-	if n > b.s.cfg.BatchSize {
-		n = b.s.cfg.BatchSize
-	}
-	round := (*ready)[:n]
-	*ready = append([]*session(nil), (*ready)[n:]...)
-
-	b.s.batches.Add(1)
-	b.s.batchedFrames.Add(int64(n))
-	for {
-		cur := b.s.maxBatch.Load()
-		if int64(n) <= cur || b.s.maxBatch.CompareAndSwap(cur, int64(n)) {
-			break
-		}
-	}
-
-	for _, sess := range round {
-		q := pending[sess]
-		it := q[0]
-		if len(q) == 1 {
-			delete(pending, sess)
-		} else {
-			pending[sess] = q[1:]
-		}
-		busy[sess] = true
-		it.started = time.Now()
-		// Dispatch without ever refusing completion notices: with fewer
-		// workers than the round is wide, a plain send here deadlocks — every
-		// worker blocks handing in b.done (capacity Workers) while flush
-		// blocks handing out b.work. Draining b.done while waiting keeps the
-		// workers' hand-in path clear no matter the worker/batch ratio.
-	dispatch:
-		for {
-			select {
-			case b.work <- it:
-				break dispatch
-			case finished := <-b.done:
-				delete(busy, finished)
-				if len(pending[finished]) > 0 {
-					*ready = append(*ready, finished)
-				}
 			}
 		}
 	}
@@ -201,21 +132,19 @@ func (b *batcher) flush(ready *[]*session, pending map[*session][]*workItem, bus
 // its session — key-frame matching or concurrent L/R flow + propagation +
 // refinement — via quality.Step and so pipeline.ProcessFrame, the executor
 // the batch streaming runtime shares, observing the same metric stages.
-func (b *batcher) worker() {
-	defer b.finished.Done()
-	for it := range b.work {
-		b.process(it)
-		b.done <- it.sess
+func (d *dispatcher) worker() {
+	defer d.finished.Done()
+	for it := range d.work {
+		d.process(it)
+		d.done <- it.sess
 	}
 }
 
-func (b *batcher) process(it *workItem) {
+func (d *dispatcher) process(it *workItem) {
 	defer it.sess.pendingFrames.Add(-1)
-	defer b.s.inflight.Add(-1)
-	rep := frameReply{queueWait: it.started.Sub(it.enqueued)}
-	if b.s.cfg.Metrics != nil {
-		b.s.cfg.Metrics.Stage("queue").Observe(rep.queueWait)
-	}
+	defer d.s.inflight.Add(-1)
+	rep := frameReply{queueWait: time.Since(it.enqueued)}
+	d.s.cfg.Metrics.Stage("queue").Observe(rep.queueWait)
 
 	defer func() {
 		// A panic in a kernel must not take the server down; it becomes a
@@ -227,7 +156,7 @@ func (b *batcher) process(it *workItem) {
 		}
 	}()
 
-	checkpoint := b.runFrame(it, &rep)
+	checkpoint := d.runFrame(it, &rep)
 	if rep.err != nil {
 		it.reply <- rep
 		return
@@ -238,18 +167,18 @@ func (b *batcher) process(it *workItem) {
 	// guaranteed the spill store holds frame N's state — the invariant the
 	// chaos recovery path depends on.
 	if checkpoint != nil {
-		b.s.writeSnapshotFile(it.sess.id, checkpoint)
+		d.s.writeSnapshotFile(it.sess.id, checkpoint)
 	}
 	it.reply <- rep
 }
 
 // runFrame executes the ISM step under the session's run lock, which
 // serializes the state mutation against snapshot encoding. Workers never
-// contend on it (the batcher dispatches at most one frame per session), so
+// contend on it (the dispatcher hands out at most one frame per session), so
 // in the steady state it is uncontended. The deferred unlock also covers
 // kernel panics, which process turns into a 500. Returns the encoded
 // checkpoint when one is due.
-func (b *batcher) runFrame(it *workItem, rep *frameReply) (checkpoint []byte) {
+func (d *dispatcher) runFrame(it *workItem, rep *frameReply) (checkpoint []byte) {
 	it.sess.runMu.Lock()
 	defer it.sess.runMu.Unlock()
 
@@ -269,9 +198,7 @@ func (b *batcher) runFrame(it *workItem, rep *frameReply) (checkpoint []byte) {
 	if calib := it.sess.calib; calib != nil && !calib.Rectified() {
 		tr := time.Now()
 		left, right = calib.RectifyPair(left, right)
-		if b.s.cfg.Metrics != nil {
-			b.s.cfg.Metrics.Stage("rectify").Observe(time.Since(tr))
-		}
+		d.s.cfg.Metrics.Stage("rectify").Observe(time.Since(tr))
 	}
 	if it.wantLeft {
 		rep.left = left
@@ -285,10 +212,10 @@ func (b *batcher) runFrame(it *workItem, rep *frameReply) (checkpoint []byte) {
 	// served.
 	rung := 0
 	if it.sess.slo == quality.BestEffort {
-		queued := int(b.s.inflight.Load()) - 1 // frames waiting behind this one
-		rung, _ = b.s.ctl.Pick(queued, b.s.cfg.Workers, it.sess.deadlineMs)
+		queued := int(d.s.inflight.Load()) - 1 // frames waiting behind this one
+		rung, _ = d.s.ctl.Pick(queued, d.s.cfg.Workers, it.sess.deadlineMs)
 	}
-	r := b.s.ladder[rung]
+	r := d.s.ladder[rung]
 	if r.OP.PyrLevel != it.sess.level {
 		// The flow kernels require consecutive frames to agree in size, so
 		// a cross-level rung switch restarts the temporal chain; the next
@@ -298,7 +225,7 @@ func (b *batcher) runFrame(it *workItem, rep *frameReply) (checkpoint []byte) {
 	}
 
 	t0 := time.Now()
-	res := quality.Step(it.sess.pipe, r, b.s.rungMatchers[rung], left, right, b.s.cfg.Metrics)
+	res := quality.Step(it.sess.pipe, r, d.s.rungMatchers[rung], left, right, d.s.cfg.Metrics)
 	rep.compute = time.Since(t0)
 	rep.res = res
 	rep.rung = rung
@@ -312,16 +239,16 @@ func (b *batcher) runFrame(it *workItem, rep *frameReply) (checkpoint []byte) {
 	// Every completed frame trains the controller's latency model for the
 	// rung it ran at — gold traffic keeps rung 0 priced even when no
 	// best-effort session is degraded.
-	b.s.ctl.Observe(rung, float64(rep.compute)/1e6)
-	b.s.rungServed[rung].Add(1)
+	d.s.ctl.Observe(rung, float64(rep.compute)/1e6)
+	d.s.rungServed[rung].Add(1)
 	it.sess.lastRung.Store(int64(rung))
 	if rung > 0 {
-		b.s.degradedTotal.Add(1)
+		d.s.degradedTotal.Add(1)
 		it.sess.degradedFrames.Add(1)
 	}
 
-	if n := b.s.cfg.CheckpointEvery; n > 0 && b.s.cfg.SpillDir != "" && (rep.frame+1)%n == 0 {
-		checkpoint = EncodeSnapshot(b.s.snapshotLocked(it.sess))
+	if n := d.s.cfg.CheckpointEvery; n > 0 && d.s.cfg.SpillDir != "" && (rep.frame+1)%n == 0 {
+		checkpoint = EncodeSnapshot(d.s.snapshotLocked(it.sess))
 	}
 	return checkpoint
 }

@@ -16,7 +16,7 @@ import (
 // serving layer: a preset session driven over HTTP must produce, frame for
 // frame, exactly the disparities and key/propagated decisions that the
 // serial core.Pipeline produces on the identical generated inputs. Any
-// divergence means the batcher broke per-session ordering or the serving
+// divergence means the dispatcher broke per-session ordering or the serving
 // path drifted from the ISM schedule.
 func TestServeMatchesSerialOracle(t *testing.T) {
 	const (
@@ -28,7 +28,6 @@ func TestServeMatchesSerialOracle(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.Workers = 3
-	cfg.BatchSize = 4
 	srv, ts := testServer(t, cfg, 0)
 	_ = srv
 

@@ -9,9 +9,9 @@
 //
 //   - a bounded admission queue; when it is full the server sheds load
 //     with 429 + Retry-After instead of collapsing;
-//   - a dynamic micro-batcher that coalesces queued frames across sessions
-//     into rounds for the worker pool (at most one frame per session per
-//     round, which also serializes each session's state machine);
+//   - a dispatcher that hands each queued frame to the first free worker,
+//     at most one frame per session at a time, which serializes each
+//     session's state machine;
 //   - per-session LRU-over-capacity and TTL eviction;
 //   - graceful drain: Close stops admission, finishes every queued frame,
 //     then stops the workers;
@@ -58,11 +58,6 @@ type Config struct {
 	QueueDepth int
 	// Workers is the frame-processing goroutine pool size.
 	Workers int
-	// BatchSize is the micro-batcher's maximum frames per dispatch round.
-	BatchSize int
-	// BatchWait is how long a partially filled round may wait for more
-	// sessions before it is flushed anyway.
-	BatchWait time.Duration
 	// MaxPixels caps uploaded image sizes at decode time (per image);
 	// oversize uploads get 413 before any pixel buffer is allocated.
 	MaxPixels int
@@ -76,8 +71,9 @@ type Config struct {
 	// overridden per session).
 	Pipeline core.Config
 	// Metrics receives per-stage latencies ("queue", "keymatch", "flow",
-	// "propagate+refine", "frame"). Nil disables stage metrics (the
-	// /metrics endpoint then reports counters only).
+	// "propagate+refine", "frame"), served under /metrics "stages"; the
+	// "frame" p95 also prices the 429 Retry-After hint. Nil installs a
+	// fresh registry.
 	Metrics *metrics.Registry
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
@@ -127,8 +123,6 @@ func DefaultConfig() Config {
 		SessionTTL:      5 * time.Minute,
 		QueueDepth:      64,
 		Workers:         4,
-		BatchSize:       8,
-		BatchWait:       2 * time.Millisecond,
 		MaxPixels:       1 << 21, // 2 Mpx per image, ~8 MB of float32
 		MaxPresetFrames: 256,
 		PW:              4,
@@ -155,12 +149,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
 		c.Workers = d.Workers
 	}
-	if c.BatchSize < 1 {
-		c.BatchSize = d.BatchSize
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = d.BatchWait
-	}
 	if c.MaxPixels < 1 || c.MaxPixels > imgproc.MaxDecodePixels {
 		c.MaxPixels = d.MaxPixels
 	}
@@ -172,6 +160,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Pipeline.PW == 0 {
 		c.Pipeline = d.Pipeline
+	}
+	if c.Metrics == nil {
+		c.Metrics = d.Metrics
 	}
 	if c.Ladder == nil {
 		c.Ladder = d.Ladder
@@ -191,7 +182,7 @@ type Server struct {
 	cfg     Config
 	matcher core.KeyMatcher
 	tab     *sessionTable
-	b       *batcher
+	d       *dispatcher
 	mux     *http.ServeMux
 	httpSrv *http.Server // set by Start; nil when mounted via Handler
 	started time.Time
@@ -228,13 +219,10 @@ type Server struct {
 	// the queue; rejected counts 429s; drained503 counts frames refused
 	// because the server was shutting down; completed counts frames whose
 	// processing finished (with or without error).
-	accepted      atomic.Int64
-	rejected      atomic.Int64
-	drained503    atomic.Int64
-	completed     atomic.Int64
-	batches       atomic.Int64
-	batchedFrames atomic.Int64
-	maxBatch      atomic.Int64
+	accepted   atomic.Int64
+	rejected   atomic.Int64
+	drained503 atomic.Int64
+	completed  atomic.Int64
 
 	// Ladder counters: frames served per rung (indexed like ladder) and
 	// frames served at any rung below the top (the degradation total).
@@ -262,9 +250,10 @@ type Server struct {
 	restoreMu sync.Mutex
 
 	// inflight is the admission gauge: frames admitted but not yet
-	// finished. The batcher drains the admit channel eagerly (it must, to
-	// batch across sessions), so the backpressure bound lives here, not in
-	// the channel capacity.
+	// finished. The dispatcher drains the admit channel eagerly (it must,
+	// or a busy session's queued frame would hold up every other session's
+	// frames behind it), so the backpressure bound lives here, not in the
+	// channel capacity.
 	inflight atomic.Int64
 }
 
@@ -292,7 +281,7 @@ func New(matcher core.KeyMatcher, cfg Config) *Server {
 	s.ctl = quality.NewController(len(s.ladder))
 	s.rungServed = make([]atomic.Int64, len(s.ladder))
 	s.tab = newSessionTable(s.cfg.MaxSessions)
-	s.b = newBatcher(s)
+	s.d = newDispatcher(s)
 	if s.cfg.CostBackend != nil {
 		s.costEst = backendCostEstimate(s.cfg.CostBackend, s.cfg.CostNonKey, s.cfg.PW)
 	}
@@ -340,13 +329,13 @@ func (s *Server) Kill() error {
 }
 
 // Close drains the server: new frames are refused with 503, every admitted
-// frame is processed to completion, then the batcher and workers stop. The
+// frame is processed to completion, then the dispatcher and workers stop. The
 // context bounds how long to wait for the HTTP layer to quiesce.
 func (s *Server) Close(ctx context.Context) error {
 	s.draining.Store(true)
 	s.submitWG.Wait() // no handler is inside its admission window anymore
-	close(s.b.admit)  // batcher dispatches the backlog, then stops workers
-	s.b.finished.Wait()
+	close(s.d.admit)  // dispatcher hands out the backlog, then stops workers
+	s.d.finished.Wait()
 	close(s.janitorStop)
 	var err error
 	if s.httpSrv != nil {
@@ -503,10 +492,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	doc := map[string]any{
 		"serve":  s.CountersSnapshot(),
-		"stages": map[string]any{},
-	}
-	if s.cfg.Metrics != nil {
-		doc["stages"] = s.cfg.Metrics.Snapshot()
+		"stages": s.cfg.Metrics.Snapshot(),
 	}
 	if s.costEst != nil {
 		doc["backend"] = s.costEst
@@ -550,10 +536,6 @@ func backendCostEstimate(b backend.Backend, nonKey backend.NonKeyCost, pw int) m
 // CountersSnapshot returns the serving-layer counters under stable names
 // (see the metrics package for the schema discipline).
 func (s *Server) CountersSnapshot() map[string]any {
-	var meanBatch float64
-	if n := s.batches.Load(); n > 0 {
-		meanBatch = float64(s.batchedFrames.Load()) / float64(n)
-	}
 	return map[string]any{
 		"sessions_active":   s.tab.len(),
 		"sessions_evicted":  s.tab.evictions.Load(),
@@ -563,10 +545,6 @@ func (s *Server) CountersSnapshot() map[string]any {
 		"drained_503":       s.drained503.Load(),
 		"queue_depth":       s.inflight.Load(),
 		"queue_capacity":    s.cfg.QueueDepth,
-		"batches":           s.batches.Load(),
-		"batch_frames":      s.batchedFrames.Load(),
-		"batch_mean_frames": round2(meanBatch),
-		"batch_max_frames":  s.maxBatch.Load(),
 		"snapshots_served":  s.snapshotsServed.Load(),
 		"snapshots_put":     s.snapshotsRestored.Load(),
 		"sessions_spilled":  s.spilled.Load(),
@@ -852,7 +830,7 @@ func (s *Server) handleSubmitFrame(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.pendingFrames.Add(1)
 	s.accepted.Add(1)
-	s.b.admit <- it // capacity QueueDepth ≥ inflight, never blocks for long
+	s.d.admit <- it // capacity QueueDepth ≥ inflight, never blocks for long
 	s.submitWG.Done()
 
 	select {
@@ -879,10 +857,7 @@ func (s *Server) handleSubmitFrame(w http.ResponseWriter, r *http.Request) {
 // the current backlog has drained far enough that a retry has a real chance,
 // from the live queue depth and the observed p95 frame latency.
 func (s *Server) retryAfterHint() int {
-	var p95 time.Duration
-	if s.cfg.Metrics != nil {
-		p95 = s.cfg.Metrics.Stage("frame").Quantile(0.95)
-	}
+	p95 := s.cfg.Metrics.Stage("frame").Quantile(0.95)
 	return retryAfterSeconds(int(s.inflight.Load()), s.cfg.Workers, p95)
 }
 

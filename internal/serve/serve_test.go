@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"mime/multipart"
 	"net/http"
@@ -17,7 +16,6 @@ import (
 	"asv/internal/core"
 	"asv/internal/hw"
 	"asv/internal/imgproc"
-	"asv/internal/metrics"
 	"asv/internal/stereo"
 )
 
@@ -47,10 +45,13 @@ func quickMatcher(delay time.Duration) testMatcher {
 // cleanup-registered handle.
 func testServer(t *testing.T, cfg Config, delay time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
-	s := New(quickMatcher(delay), cfg)
+	return serveWith(t, quickMatcher(delay), cfg)
+}
+
+// serveWith is testServer for a caller-supplied matcher.
+func serveWith(t *testing.T, matcher core.KeyMatcher, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	s := New(matcher, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -179,7 +180,7 @@ func TestKeyFrameCadence(t *testing.T) {
 // accepted/rejected accounting must cover every submission exactly once.
 func TestBackpressure429(t *testing.T) {
 	s, ts := testServer(t, Config{
-		QueueDepth: 2, Workers: 1, BatchSize: 1, MaxSessions: 8,
+		QueueDepth: 2, Workers: 1, MaxSessions: 8,
 	}, 30*time.Millisecond)
 
 	info := createPresetSession(t, ts.URL, CreateSessionRequest{
@@ -248,7 +249,7 @@ func TestBackpressure429(t *testing.T) {
 		t.Fatalf("metrics missing serve section: %v", doc)
 	}
 	for _, key := range []string{"rejected_429", "frames_accepted", "frames_completed",
-		"queue_depth", "queue_capacity", "batches", "batch_max_frames", "sessions_active"} {
+		"queue_depth", "queue_capacity", "sessions_active"} {
 		if _, ok := serveDoc[key]; !ok {
 			t.Fatalf("serve metrics missing %q: %v", key, serveDoc)
 		}
@@ -263,7 +264,7 @@ func TestBackpressure429(t *testing.T) {
 // of the accounting counters.
 func TestConcurrentSessionLifecycle(t *testing.T) {
 	s, ts := testServer(t, Config{
-		MaxSessions: 4, QueueDepth: 64, Workers: 3, BatchSize: 4,
+		MaxSessions: 4, QueueDepth: 64, Workers: 3,
 	}, 0)
 
 	const goroutines = 6
@@ -417,9 +418,7 @@ func TestUploadDecodeAndCaps(t *testing.T) {
 // Graceful drain: everything admitted before Close completes with 200; new
 // work during/after the drain gets 503.
 func TestGracefulDrain(t *testing.T) {
-	cfg := Config{QueueDepth: 16, Workers: 2, BatchSize: 2}
-	cfg.Metrics = metrics.NewRegistry()
-	s := New(quickMatcher(10*time.Millisecond), cfg)
+	s := New(quickMatcher(10*time.Millisecond), Config{QueueDepth: 16, Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -495,17 +494,58 @@ func TestHealthzAndPprofGate(t *testing.T) {
 	}
 }
 
-// The micro-batcher must coalesce frames from distinct sessions into one
-// dispatch round when they queue up together.
+// overlapMatcher records which sessions are inside Match at the same time,
+// telling them apart by frame width. Until two distinct sessions have
+// overlapped, a call lingers up to linger for a partner, so a dispatcher
+// that runs sessions concurrently shows it even on a loaded host, while one
+// that serializes them never can.
+type overlapMatcher struct {
+	testMatcher
+	linger time.Duration
+
+	mu         sync.Mutex
+	inside     map[int]int   // frame width → calls inside Match
+	met        chan struct{} // closed at the first cross-session overlap
+	overlapped bool
+}
+
+func (m *overlapMatcher) Match(l, r *imgproc.Image) *imgproc.Image {
+	m.mu.Lock()
+	m.inside[l.W]++
+	if len(m.inside) >= 2 && !m.overlapped {
+		m.overlapped = true
+		close(m.met)
+	}
+	m.mu.Unlock()
+
+	select {
+	case <-m.met:
+	case <-time.After(m.linger):
+	}
+	out := m.testMatcher.Match(l, r)
+
+	m.mu.Lock()
+	if m.inside[l.W]--; m.inside[l.W] == 0 {
+		delete(m.inside, l.W)
+	}
+	m.mu.Unlock()
+	return out
+}
+
+// Frames of distinct sessions must run on the worker pool at the same time.
 func TestBatcherCoalescesAcrossSessions(t *testing.T) {
-	s, ts := testServer(t, Config{
-		QueueDepth: 32, Workers: 4, BatchSize: 4, BatchWait: 20 * time.Millisecond,
-	}, 5*time.Millisecond)
+	m := &overlapMatcher{
+		testMatcher: quickMatcher(0),
+		linger:      2 * time.Second,
+		inside:      map[int]int{},
+		met:         make(chan struct{}),
+	}
+	_, ts := serveWith(t, m, Config{QueueDepth: 32, Workers: 4})
 
 	var ids []string
 	for i := 0; i < 4; i++ {
 		info := createPresetSession(t, ts.URL, CreateSessionRequest{
-			Preset: "sceneflow", W: 32, H: 24, Frames: 2, PW: 1, Seed: int64(i + 1),
+			Preset: "sceneflow", W: 32 + 8*i, H: 24, Frames: 2, PW: 1, Seed: int64(i + 1),
 		})
 		ids = append(ids, info.ID)
 	}
@@ -522,22 +562,21 @@ func TestBatcherCoalescesAcrossSessions(t *testing.T) {
 		}(id)
 	}
 	wg.Wait()
-	if s.maxBatch.Load() < 2 {
-		t.Fatalf("no cross-session batching observed: max batch %d", s.maxBatch.Load())
-	}
-	if got := fmt.Sprint(s.CountersSnapshot()["batch_mean_frames"]); got == "0" {
-		t.Fatal("batch_mean_frames not populated")
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.overlapped {
+		t.Fatal("no two sessions were ever inside Match at the same time")
 	}
 }
 
-// TestBatcherFewerWorkersThanBatch is the regression test for a flush
-// deadlock: with a single worker and a dispatch round wider than the done
-// channel's capacity (== Workers), flush used to block handing out the
-// round's third frame while the worker blocked handing in its completion
-// notice. Eight concurrent sessions against one worker wedged permanently.
+// TestBatcherFewerWorkersThanBatch is the regression test for a dispatch
+// deadlock: a dispatcher that blocks handing out work without also taking
+// completion notices wedges as soon as the done channel (capacity Workers)
+// is full, because the one worker then blocks handing its notice in. Eight
+// concurrent sessions against one worker used to wedge permanently.
 func TestBatcherFewerWorkersThanBatch(t *testing.T) {
 	_, ts := testServer(t, Config{
-		QueueDepth: 32, Workers: 1, BatchSize: 8, BatchWait: time.Millisecond,
+		QueueDepth: 32, Workers: 1,
 	}, time.Millisecond)
 
 	const sessions, frames = 8, 3
@@ -566,7 +605,7 @@ func TestBatcherFewerWorkersThanBatch(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("batcher deadlocked: 8 sessions x 1 worker never completed")
+		t.Fatal("dispatcher deadlocked: 8 sessions x 1 worker never completed")
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // matching on the session's key frames and motion-propagated refinement on
 // the frames between them, exactly as the batch pipeline would, but driven
 // by request arrival. Frames of one session are processed strictly in
-// submission order; the batcher guarantees at most one in-flight frame per
+// submission order; the dispatcher guarantees at most one in-flight frame per
 // session, so the core.Pipeline inside needs no lock of its own.
 type session struct {
 	id      string
@@ -29,7 +29,7 @@ type session struct {
 	created time.Time
 
 	// runMu serializes pipeline-state access between the worker processing
-	// a frame and the snapshot encoder. The batcher already guarantees at
+	// a frame and the snapshot encoder. The dispatcher already guarantees at
 	// most one in-flight frame per session, so workers never contend; the
 	// lock exists so a snapshot taken between frames observes fully
 	// committed state.
@@ -123,7 +123,7 @@ type presetSource struct {
 	name string
 	cfg  dataset.SceneConfig
 	seq  *dataset.Sequence
-	next int // next frame index, owned by the batcher/worker path
+	next int // next frame index, owned by the dispatcher/worker path
 }
 
 func (ps *presetSource) frame() (left, right *imgproc.Image) {

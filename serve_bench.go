@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"asv/internal/cluster"
-	"asv/internal/metrics"
 	"asv/internal/serve"
 )
 
@@ -192,7 +191,6 @@ func MeasureServeLoad(bc ServeBenchConfig) (ServeBenchDoc, error) {
 	// Normal phase: generously provisioned server, paced clients.
 	cfg := DefaultServeConfig()
 	cfg.PW = bc.PW
-	cfg.Metrics = metrics.NewRegistry()
 	srv := NewServeServer(matcher, cfg)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -221,7 +219,6 @@ func MeasureServeLoad(bc ServeBenchConfig) (ServeBenchDoc, error) {
 	ocfg.PW = bc.PW
 	ocfg.QueueDepth = 2
 	ocfg.Workers = 1
-	ocfg.Metrics = metrics.NewRegistry()
 	osrv := NewServeServer(matcher, ocfg)
 	oaddr, err := osrv.Start("127.0.0.1:0")
 	if err != nil {
@@ -255,7 +252,6 @@ func MeasureServeLoad(bc ServeBenchConfig) (ServeBenchDoc, error) {
 	dcfg.PW = bc.PW
 	dcfg.QueueDepth = 2
 	dcfg.Workers = 1
-	dcfg.Metrics = metrics.NewRegistry()
 	dsrv := NewServeServer(NewPacedKeyMatcher(matcher, time.Duration(frameMs)*time.Millisecond), dcfg)
 	daddr, err := dsrv.Start("127.0.0.1:0")
 	if err != nil {
@@ -366,7 +362,6 @@ func runShardPhase(bc ServeBenchConfig, n int) (ServeLoadReport, error) {
 	for i := 0; i < n; i++ {
 		cfg := DefaultServeConfig()
 		cfg.Workers = 1 // capacity = 1 frame per FrameMs per shard
-		cfg.Metrics = metrics.NewRegistry()
 		srv := NewServeServer(matcher, cfg)
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
